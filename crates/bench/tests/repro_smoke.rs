@@ -395,18 +395,25 @@ fn sim_knobs_parse_and_apply() {
 #[test]
 fn sim_cores_beyond_the_directory_bound_exit_1_not_panic() {
     // Regression: `--sim cores=32` used to pass the parser and then
-    // panic via the `MemorySim::new` assert mid-run. The 1..=16 bound
-    // now lives in SimConfig validation, so it is an ordinary
-    // malformed-flag error (exit 1) raised before any work starts.
-    let out = repro()
-        .args(["--quick", "--sim", "cores=32,sockets=2", "table2"])
-        .output()
-        .expect("spawn repro");
-    assert_eq!(out.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("cores=32"), "{stderr}");
-    assert!(stderr.contains("1..=16"), "{stderr}");
-    assert!(!stderr.contains("panicked"), "{stderr}");
+    // panic via the `MemorySim::new` assert mid-run, and `l1kb=3`
+    // (6 sets, not a power of two) in `SetAssocCache::new`. Both
+    // bounds now live in SimConfig validation, so they are ordinary
+    // malformed-flag errors (exit 1) raised before any work starts.
+    for (knobs, token, expected) in [
+        ("cores=32,sockets=2", "cores=32", "1..=16"),
+        ("l1kb=3", "l1kb=3", "power-of-two"),
+    ] {
+        let out = repro()
+            .args(["--quick", "--sim", knobs, "table2"])
+            .output()
+            .expect("spawn repro");
+        assert_eq!(out.status.code(), Some(1), "{knobs}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("error:"), "{stderr}");
+        assert!(stderr.contains(token), "{stderr}");
+        assert!(stderr.contains(expected), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
 }
 
 #[test]

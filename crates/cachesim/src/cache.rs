@@ -1,4 +1,22 @@
 //! An LRU set-associative cache over 64-byte blocks.
+//!
+//! # Set layout
+//!
+//! Each set is one contiguous run of `ways` packed words,
+//! `block << 1 | dirty`, kept in recency order: the most recently
+//! used block first, the least recently used last, and empty ways at
+//! the tail. The order is the whole LRU state, so there are no
+//! timestamps to keep:
+//!
+//! * a hit moves its word to the front;
+//! * a miss shifts the set down one way and writes the front, so in a
+//!   full set the LRU victim is the word that falls off the end (a
+//!   fill of an absent block does the same; of a resident one, it only
+//!   merges the dirty bit);
+//! * an invalidate closes the gap, keeping the empty ways at the tail.
+//!
+//! Which physical way holds a block is never observable: every method
+//! answers exactly as a timestamp-ordered LRU cache does.
 
 use crate::BLOCK_BYTES;
 
@@ -12,19 +30,30 @@ pub struct AccessResult {
     pub evicted: Option<(u64, bool)>,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Line {
-    /// Block address (byte address >> 6); `u64::MAX` = invalid.
-    block: u64,
-    /// LRU timestamp: larger = more recently used.
-    stamp: u64,
-    dirty: bool,
+/// An empty way. It never matches a block: block numbers stay below
+/// `u64::MAX >> 1` (byte addresses divided by 64 are far below).
+const EMPTY: u64 = u64::MAX;
+
+/// The dirty bit of a packed word.
+const DIRTY: u64 = 1;
+
+/// Way of `block` in `set`, if present.
+fn way_of(set: &[u64], block: u64) -> Option<usize> {
+    set.iter().position(|&w| w >> 1 == block)
 }
 
-const INVALID: u64 = u64::MAX;
+/// The block and dirty flag of a word pushed off the end of a set,
+/// unless it was an empty way.
+fn evicted(word: u64) -> Option<(u64, bool)> {
+    (word != EMPTY).then_some((word >> 1, word & DIRTY != 0))
+}
 
 /// An LRU set-associative cache. Stores block addresses only (trace
 /// simulation needs no data).
+///
+/// Every method panics on a block number of `u64::MAX >> 1` or more,
+/// which does not fit a packed word (no byte address divides down to
+/// one).
 ///
 /// # Example
 ///
@@ -37,10 +66,10 @@ const INVALID: u64 = u64::MAX;
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
-    lines: Vec<Line>,
+    /// `num_sets` recency-ordered runs of `ways` packed words.
+    words: Vec<u64>,
     ways: usize,
     num_sets: usize,
-    clock: u64,
 }
 
 impl SetAssocCache {
@@ -65,26 +94,19 @@ impl SetAssocCache {
             "set count {num_sets} must be a power of two"
         );
         SetAssocCache {
-            lines: vec![
-                Line {
-                    block: INVALID,
-                    stamp: 0,
-                    dirty: false
-                };
-                num_sets * ways
-            ],
+            words: vec![EMPTY; num_sets * ways],
             ways,
             num_sets,
-            clock: 0,
         }
     }
 
     /// Total capacity in bytes.
     pub fn capacity_bytes(&self) -> usize {
-        self.num_sets * self.ways * BLOCK_BYTES as usize
+        self.words.len() * BLOCK_BYTES as usize
     }
 
-    fn set_range(&self, block: u64) -> std::ops::Range<usize> {
+    /// Set that `block` maps to.
+    pub(crate) fn set_index(&self, block: u64) -> usize {
         // Hashed set indexing (Fibonacci multiplicative hash) rather
         // than low-order bits. This models what a real machine does to
         // regular address patterns: virtual-to-physical translation
@@ -93,13 +115,30 @@ impl SetAssocCache {
         // vertices sit at structured IDs (e.g. R-MAT's low-popcount
         // hubs) collide into a handful of sets and the simulator
         // reports conflict pathologies no real run would see.
-        let set = if self.num_sets == 1 {
-            0
-        } else {
-            let hashed = block.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            (hashed >> (64 - self.num_sets.trailing_zeros())) as usize
-        };
-        set * self.ways..(set + 1) * self.ways
+        //
+        // With `num_sets = 2^k` the high half of the 128-bit product
+        // is the hash's top `k` bits (and 0 for a single set).
+        let hashed = block.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        ((u128::from(hashed) * self.num_sets as u128) >> 64) as usize
+    }
+
+    /// Index of the first way of `block`'s set.
+    fn set_start(&self, block: u64) -> usize {
+        assert!(
+            block < EMPTY >> 1,
+            "block {block} does not fit a packed word"
+        );
+        self.set_index(block) * self.ways
+    }
+
+    fn set(&self, block: u64) -> &[u64] {
+        let start = self.set_start(block);
+        &self.words[start..start + self.ways]
+    }
+
+    fn set_mut(&mut self, block: u64) -> &mut [u64] {
+        let start = self.set_start(block);
+        &mut self.words[start..start + self.ways]
     }
 
     /// Accesses the block containing byte address `addr`, allocating on
@@ -111,82 +150,68 @@ impl SetAssocCache {
 
     /// Accesses a pre-shifted block address.
     pub fn access_block(&mut self, block: u64, write: bool) -> AccessResult {
-        self.clock += 1;
-        let clock = self.clock;
-        let range = self.set_range(block);
-        let set = &mut self.lines[range];
-
-        // Hit?
-        if let Some(line) = set.iter_mut().find(|l| l.block == block) {
-            line.stamp = clock;
-            line.dirty |= write;
-            return AccessResult {
-                hit: true,
-                evicted: None,
-            };
+        let set = self.set_mut(block);
+        // One pass: shift each word down a way until the block turns
+        // up (a hit); the front takes the accessed block. A miss shifts
+        // the whole set and carries out its last word: the LRU victim,
+        // or an empty way while the set has room.
+        let mut carry = block << 1 | u64::from(write);
+        for i in 0..set.len() {
+            let word = std::mem::replace(&mut set[i], carry);
+            if word >> 1 == block {
+                set[0] |= word & DIRTY;
+                return AccessResult {
+                    hit: true,
+                    evicted: None,
+                };
+            }
+            carry = word;
         }
-        // Miss: fill into invalid or LRU way.
-        let victim = set
-            .iter_mut()
-            .min_by_key(|l| if l.block == INVALID { 0 } else { l.stamp })
-            .expect("sets are non-empty");
-        let evicted = if victim.block == INVALID {
-            None
-        } else {
-            Some((victim.block, victim.dirty))
-        };
-        *victim = Line {
-            block,
-            stamp: clock,
-            dirty: write,
-        };
         AccessResult {
             hit: false,
-            evicted,
+            evicted: evicted(carry),
         }
     }
 
-    /// `true` if the block containing `addr` is present (no LRU
-    /// update).
+    /// `true` if block number `block` is present (no LRU update).
     pub fn contains_block(&self, block: u64) -> bool {
-        let range = self.set_range(block);
-        self.lines[range].iter().any(|l| l.block == block)
+        // Compares every way instead of stopping at the first match:
+        // the branch-free scan is cheaper than an early exit whose
+        // position the CPU cannot predict.
+        self.set(block)
+            .iter()
+            .fold(false, |found, &w| found | (w >> 1 == block))
     }
 
     /// Removes a block if present, returning whether it was dirty.
     pub fn invalidate_block(&mut self, block: u64) -> Option<bool> {
-        let range = self.set_range(block);
-        for l in &mut self.lines[range] {
-            if l.block == block {
-                let dirty = l.dirty;
-                l.block = INVALID;
-                l.dirty = false;
-                return Some(dirty);
-            }
-        }
-        None
+        let set = self.set_mut(block);
+        let way = way_of(set, block)?;
+        let dirty = set[way] & DIRTY != 0;
+        set.copy_within(way + 1.., way);
+        set[set.len() - 1] = EMPTY;
+        Some(dirty)
     }
 
     /// Inserts a block without counting an access (used for fills from
-    /// write-backs), returning any eviction.
+    /// write-backs), returning any eviction. A block already present
+    /// only merges the dirty flag and keeps its recency.
     pub fn fill_block(&mut self, block: u64, dirty: bool) -> Option<(u64, bool)> {
-        if self.contains_block(block) {
-            // Merge dirtiness into the existing line.
-            let range = self.set_range(block);
-            for l in &mut self.lines[range] {
-                if l.block == block {
-                    l.dirty |= dirty;
-                }
-            }
+        let set = self.set_mut(block);
+        if let Some(way) = way_of(set, block) {
+            set[way] |= u64::from(dirty);
             return None;
         }
-        let r = self.access_block(block, dirty);
-        r.evicted
+        let mut carry = block << 1 | u64::from(dirty);
+        for slot in set.iter_mut() {
+            carry = std::mem::replace(slot, carry);
+        }
+        evicted(carry)
     }
 
     /// Number of valid blocks currently resident.
     pub fn occupancy(&self) -> usize {
-        self.lines.iter().filter(|l| l.block != INVALID).count()
+        self.words.iter().filter(|&&w| w != EMPTY).count()
     }
 }
 
@@ -211,11 +236,11 @@ mod tests {
     /// First `count` block addresses that map to the same set as block
     /// `0` (set indexing is hashed, so collisions are found by probing).
     fn colliding_blocks(c: &SetAssocCache, count: usize) -> Vec<u64> {
-        let target = c.set_range(0);
+        let target = c.set_index(0);
         let mut out = vec![0u64];
         let mut b = 1u64;
         while out.len() < count {
-            if c.set_range(b) == target {
+            if c.set_index(b) == target {
                 out.push(b);
             }
             b += 1;
@@ -282,6 +307,30 @@ mod tests {
         c.access_block(9, false);
         assert!(c.fill_block(9, true).is_none());
         assert_eq!(c.invalidate_block(9), Some(true));
+    }
+
+    #[test]
+    fn invalidate_and_fill_keep_recency_order() {
+        let mut c = SetAssocCache::new(3 * 64, 3); // 1 set x 3 ways
+        for b in [1, 2, 3] {
+            c.access_block(b, false);
+        }
+        // Closing the gap left by 2 keeps 1 least recent.
+        assert_eq!(c.invalidate_block(2), Some(false));
+        assert_eq!(c.access_block(4, false).evicted, None, "a way was free");
+        assert_eq!(c.access_block(5, false).evicted, Some((1, false)));
+        // A fill of a resident block merges dirtiness without making
+        // it more recent: 3 is still the LRU victim.
+        assert_eq!(c.fill_block(3, true), None);
+        assert_eq!(c.fill_block(6, false), Some((3, true)));
+        assert_eq!(c.occupancy(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a packed word")]
+    fn rejects_blocks_beyond_the_packed_range() {
+        let mut c = SetAssocCache::new(4096, 4);
+        c.access_block(u64::MAX >> 1, false);
     }
 
     #[test]

@@ -3,6 +3,8 @@
 use std::fmt;
 use std::str::FromStr;
 
+use crate::BLOCK_BYTES;
+
 /// Access latencies in cycles, used to convert simulated miss counts
 /// into an execution-time estimate (the basis of every speedup figure
 /// in the reproduction).
@@ -108,11 +110,13 @@ impl SimConfig {
 
     /// Checks every invariant [`MemorySim::new`](crate::MemorySim::new)
     /// would later assert — core count within `1..=16`, at least one
-    /// socket, cores dividing evenly across sockets — so callers
-    /// building a config from untrusted input (CLI flags, RPC
-    /// payloads) get a reportable error instead of a panic deep in
-    /// simulator construction. [`SimConfig::from_str`] applies this
-    /// automatically.
+    /// socket, cores dividing evenly across sockets, and for each cache
+    /// level a capacity that is a positive multiple of `ways × 64`
+    /// bytes with a power-of-two set count — so callers building a
+    /// config from untrusted input (CLI flags, RPC payloads) get a
+    /// reportable error instead of a panic deep in simulator
+    /// construction. [`SimConfig::from_str`] applies this
+    /// automatically; it never panics itself, whatever the fields hold.
     pub fn validate(&self) -> Result<(), SimConfigParseError> {
         if self.cores < 1 || self.cores > MAX_CORES {
             return Err(SimConfigParseError {
@@ -127,6 +131,30 @@ impl SimConfig {
                 token: format!("cores={} with sockets={}", self.cores, self.sockets),
                 expected: Some("cores dividing evenly across at least one socket".to_owned()),
             });
+        }
+        let levels = [
+            ("l1", self.l1_bytes, self.l1_ways),
+            ("l2", self.l2_bytes, self.l2_ways),
+            ("llc", self.llc_bytes, self.llc_ways),
+        ];
+        for (level, bytes, ways) in levels {
+            let sets = ways
+                .checked_mul(BLOCK_BYTES as usize)
+                .filter(|&set_bytes| set_bytes > 0 && bytes.is_multiple_of(set_bytes))
+                .and_then(|set_bytes| bytes.checked_div(set_bytes));
+            if !sets.is_some_and(usize::is_power_of_two) {
+                let token = if bytes.is_multiple_of(1 << 10) {
+                    format!("{level}kb={}", bytes >> 10)
+                } else {
+                    format!("{level}_bytes={bytes}")
+                };
+                return Err(SimConfigParseError {
+                    token,
+                    expected: Some(format!(
+                        "a positive multiple of {ways} ways x 64 B with a power-of-two set count"
+                    )),
+                });
+            }
         }
         Ok(())
     }
@@ -206,12 +234,18 @@ impl FromStr for SimConfig {
             if n == 0 {
                 return Err(err());
             }
+            let kib = || {
+                n.checked_mul(1 << 10).ok_or_else(|| SimConfigParseError {
+                    token: token.to_owned(),
+                    expected: Some("a capacity in KiB whose byte count fits in usize".to_owned()),
+                })
+            };
             match key.trim() {
                 "cores" => cfg.cores = n,
                 "sockets" => cfg.sockets = n,
-                "l1kb" => cfg.l1_bytes = n << 10,
-                "l2kb" => cfg.l2_bytes = n << 10,
-                "llckb" => cfg.llc_bytes = n << 10,
+                "l1kb" => cfg.l1_bytes = kib()?,
+                "l2kb" => cfg.l2_bytes = kib()?,
+                "llckb" => cfg.llc_bytes = kib()?,
                 _ => return Err(err()),
             }
         }
@@ -279,6 +313,53 @@ mod tests {
         };
         assert!(cfg.validate().is_err());
         assert!(SimConfig::default().validate().is_ok());
+    }
+
+    #[test]
+    fn cache_geometry_is_a_parse_error_not_a_panic() {
+        // Regression: these parsed and then panicked in
+        // SetAssocCache::new (6 and 96 sets are not powers of two), or
+        // silently wrapped to a 1 KiB L1 (`n << 10` dropped high bits).
+        for (input, token) in [
+            ("l1kb=3", "l1kb=3"),
+            ("llckb=96", "llckb=96"),
+            ("l1kb=18014398509481985", "l1kb=18014398509481985"),
+        ] {
+            let err = input.parse::<SimConfig>().unwrap_err();
+            assert_eq!(err.token, token, "{err}");
+        }
+        assert!("l1kb=8,l2kb=32,llckb=256".parse::<SimConfig>().is_ok());
+        // Hand-built configs: zero ways, zero or ragged capacities and
+        // overflowing `ways × 64` are errors, never panics.
+        for cfg in [
+            SimConfig {
+                l1_ways: 0,
+                ..Default::default()
+            },
+            SimConfig {
+                l2_bytes: 0,
+                ..Default::default()
+            },
+            SimConfig {
+                llc_bytes: 100,
+                ..Default::default()
+            },
+            SimConfig {
+                llc_ways: usize::MAX,
+                ..Default::default()
+            },
+        ] {
+            assert!(cfg.validate().is_err(), "{cfg:?}");
+        }
+        let err = SimConfig {
+            l1_bytes: 3 * 64,
+            l1_ways: 1,
+            ..Default::default()
+        }
+        .validate()
+        .unwrap_err();
+        assert_eq!(err.token, "l1_bytes=192");
+        assert!(SimConfig::single_core().validate().is_ok());
     }
 
     #[test]

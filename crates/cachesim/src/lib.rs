@@ -41,6 +41,8 @@
 pub mod cache;
 pub mod config;
 pub mod layout;
+#[cfg(test)]
+mod oracle;
 pub mod sim;
 pub mod stats;
 pub mod tracer;

@@ -9,7 +9,7 @@
 //! (PRD, SSSP) generate the coherence traffic the paper measures.
 
 use crate::cache::SetAssocCache;
-use crate::config::SimConfig;
+use crate::config::{LatencyModel, SimConfig, MAX_CORES};
 use crate::layout::{AccessPattern, ArrayId, MemoryLayout};
 use crate::stats::SimStats;
 use crate::BLOCK_BYTES;
@@ -26,7 +26,8 @@ struct DirEntry {
 
 const NO_OWNER: u8 = u8::MAX;
 
-/// Where an access was ultimately served.
+/// Where an access was ultimately served; indexes the cycle-cost
+/// table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ServePoint {
     L1,
@@ -36,6 +37,9 @@ enum ServePoint {
     SnoopRemote,
     Memory,
 }
+
+/// Cycles charged per access, by access pattern and serve point.
+type CostTable = [[u64; 6]; 2];
 
 /// The trace-driven multi-core memory hierarchy simulator.
 ///
@@ -50,7 +54,13 @@ pub struct MemorySim {
     l1: Vec<SetAssocCache>,
     l2: Vec<SetAssocCache>,
     llc: Vec<SetAssocCache>,
+    /// One entry per block of the layout, indexed by block number.
     directory: Vec<DirEntry>,
+    /// Socket of each core.
+    socket_of: [usize; MAX_CORES],
+    /// Cores of each socket, as sharer masks.
+    socket_cores: [u16; MAX_CORES],
+    cost: CostTable,
     stats: SimStats,
 }
 
@@ -65,11 +75,18 @@ impl MemorySim {
     /// divide evenly across sockets.
     pub fn new(config: SimConfig, layout: MemoryLayout) -> Self {
         assert!(
-            config.cores >= 1 && config.cores <= crate::config::MAX_CORES,
-            "1..={} cores supported",
-            crate::config::MAX_CORES
+            config.cores >= 1 && config.cores <= MAX_CORES,
+            "1..={MAX_CORES} cores supported"
         );
         let _ = config.cores_per_socket(); // validates divisibility
+        let socket_of = std::array::from_fn(|core| config.socket_of(core));
+        let socket_cores = std::array::from_fn(|socket| {
+            (0..config.cores)
+                .filter(|&core| config.socket_of(core) == socket)
+                .fold(0, |mask, core| mask | 1 << core)
+        });
+        // Blocks handed out by the layout start at 1 (address 0 is
+        // never valid) and stay below this bound.
         let num_blocks = (layout.total_bytes() / BLOCK_BYTES + 2) as usize;
         MemorySim {
             l1: (0..config.cores)
@@ -82,6 +99,9 @@ impl MemorySim {
                 .map(|_| SetAssocCache::new(config.llc_bytes, config.llc_ways))
                 .collect(),
             directory: vec![DirEntry::default(); num_blocks],
+            socket_of,
+            socket_cores,
+            cost: cost_table(&config.latency),
             config,
             layout,
             stats: SimStats::default(),
@@ -132,7 +152,7 @@ impl MemorySim {
     }
 
     fn access_inner(&mut self, core: usize, block: u64, write: bool) -> ServePoint {
-        let dir_idx = block as usize % self.directory.len();
+        let dir_idx = block as usize;
 
         // A write to a block other cores hold must invalidate them
         // (RFO), even if our own copy is an L1 hit. This is the source
@@ -207,17 +227,15 @@ impl MemorySim {
         // Provider: the dirty owner if any (only it holds the current
         // data, so *its* socket decides the Fig. 9 local/remote
         // split, even when stale sharer bits linger on the
-        // requester's socket), else the nearest clean sharer.
-        let my_socket = self.config.socket_of(core);
-        let provider = if entry.dirty_owner != NO_OWNER && entry.dirty_owner as usize != core {
-            entry.dirty_owner as usize
+        // requester's socket), else the nearest clean sharer — local
+        // whenever any sharer sits on the requester's socket.
+        let my_socket = self.socket_of[core];
+        let local = if entry.dirty_owner != NO_OWNER && entry.dirty_owner as usize != core {
+            self.socket_of[entry.dirty_owner as usize] == my_socket
         } else {
-            (0..self.config.cores)
-                .filter(|&c| others & (1 << c) != 0)
-                .min_by_key(|&c| usize::from(self.config.socket_of(c) != my_socket))
-                .expect("others is non-empty")
+            others & self.socket_cores[my_socket] != 0
         };
-        let served = if self.config.socket_of(provider) == my_socket {
+        let served = if local {
             self.stats.l2_breakdown.snoops_local += 1;
             ServePoint::SnoopLocal
         } else {
@@ -251,7 +269,7 @@ impl MemorySim {
         write: bool,
     ) -> ServePoint {
         self.stats.l3.accesses += 1;
-        let my_socket = self.config.socket_of(core);
+        let my_socket = self.socket_of[core];
         let entry = self.directory[dir_idx];
 
         // A dirty copy in another core's cache must be snooped.
@@ -270,10 +288,9 @@ impl MemorySim {
                 // Read: the owner's line is demoted to shared; the
                 // dirty data is written back to the owner's LLC.
                 self.directory[dir_idx].dirty_owner = NO_OWNER;
-                let owner_socket = self.config.socket_of(owner);
-                self.llc_fill(owner_socket, block, true);
+                self.llc_fill(self.socket_of[owner], block, true);
             }
-            return if self.config.socket_of(owner) == my_socket {
+            return if self.socket_of[owner] == my_socket {
                 self.stats.l2_breakdown.snoops_local += 1;
                 ServePoint::SnoopLocal
             } else {
@@ -305,9 +322,7 @@ impl MemorySim {
         // not dirty): forwarded cross-socket as well.
         let others = entry.sharers & !(1u16 << core);
         if others != 0 {
-            let any_local = (0..self.config.cores)
-                .any(|c| others & (1 << c) != 0 && self.config.socket_of(c) == my_socket);
-            if any_local {
+            if others & self.socket_cores[my_socket] != 0 {
                 self.stats.l2_breakdown.snoops_local += 1;
                 return ServePoint::SnoopLocal;
             }
@@ -337,14 +352,13 @@ impl MemorySim {
     /// the local LLC.
     fn evict_from_l2(&mut self, core: usize, block: u64, dirty: bool) {
         let l1_dirty = self.l1[core].invalidate_block(block).unwrap_or(false);
-        let dir_idx = block as usize % self.directory.len();
-        self.directory[dir_idx].sharers &= !(1u16 << core);
-        if self.directory[dir_idx].dirty_owner == core as u8 {
-            self.directory[dir_idx].dirty_owner = NO_OWNER;
+        let entry = &mut self.directory[block as usize];
+        entry.sharers &= !(1u16 << core);
+        if entry.dirty_owner == core as u8 {
+            entry.dirty_owner = NO_OWNER;
         }
         if dirty || l1_dirty {
-            let socket = self.config.socket_of(core);
-            self.llc_fill(socket, block, true);
+            self.llc_fill(self.socket_of[core], block, true);
         }
     }
 
@@ -362,22 +376,28 @@ impl MemorySim {
     }
 
     fn charge(&mut self, served: ServePoint, pattern: AccessPattern) {
-        let lat = &self.config.latency;
-        let mlp = match pattern {
-            AccessPattern::Streaming => lat.streaming_mlp,
-            AccessPattern::Irregular => lat.irregular_mlp,
-        }
-        .max(1);
-        let cycles = match served {
-            ServePoint::L1 => lat.l1,
-            ServePoint::L2 => lat.l2 / mlp,
-            ServePoint::L3 => lat.l3 / mlp,
-            ServePoint::SnoopLocal => lat.snoop_local / mlp,
-            ServePoint::SnoopRemote => lat.snoop_remote / mlp,
-            ServePoint::Memory => lat.memory / mlp,
-        };
-        self.stats.cycles += cycles.max(1);
+        self.stats.cycles += self.cost[pattern as usize][served as usize];
     }
+}
+
+/// Cycles per access: an L1 hit costs its latency; anything further
+/// out costs its latency divided by the pattern's memory-level
+/// parallelism. Every access costs at least one cycle.
+fn cost_table(lat: &LatencyModel) -> CostTable {
+    let row = |mlp: u64| {
+        let mlp = mlp.max(1);
+        [
+            lat.l1,
+            lat.l2 / mlp,
+            lat.l3 / mlp,
+            lat.snoop_local / mlp,
+            lat.snoop_remote / mlp,
+            lat.memory / mlp,
+        ]
+        .map(|cycles| cycles.max(1))
+    };
+    // Rows in `AccessPattern` declaration order.
+    [row(lat.streaming_mlp), row(lat.irregular_mlp)]
 }
 
 #[cfg(test)]
@@ -525,8 +545,7 @@ mod tests {
         let (mut sim, a) = sim_with(64);
         sim.write(4, a, 0);
         let block = sim.layout.addr(a, 0) / BLOCK_BYTES;
-        let dir_idx = block as usize % sim.directory.len();
-        sim.directory[dir_idx].sharers |= 1 << 1;
+        sim.directory[block as usize].sharers |= 1 << 1;
         let before = sim.stats.l2_breakdown;
         sim.write(0, a, 0);
         let after = sim.stats.l2_breakdown;
@@ -569,8 +588,7 @@ mod tests {
             ..Default::default()
         };
         let mut sim = MemorySim::new(cfg, layout);
-        let dlen = sim.directory.len();
-        let dir = move |blk: u64| blk as usize % dlen;
+        let dir = |blk: u64| blk as usize;
 
         sim.write(0, a, 0); // b0 dirty in L1 and L2
         sim.read(0, a, 8); // b1 in L1 and L2; L1 now full {b0, b1}
@@ -599,6 +617,22 @@ mod tests {
             sim.llc[0].contains_block(b[2]),
             "the dirty victim must write back to the LLC"
         );
+    }
+
+    #[test]
+    fn cost_table_divides_by_mlp_with_a_one_cycle_floor() {
+        let table = cost_table(&LatencyModel::default());
+        assert_eq!(
+            table[AccessPattern::Streaming as usize],
+            [4, 1, 6, 11, 18, 31]
+        );
+        assert_eq!(table[Irregular as usize], [4, 7, 25, 45, 75, 125]);
+        let lat = LatencyModel {
+            l1: 0,
+            streaming_mlp: 0,
+            ..Default::default()
+        };
+        assert_eq!(cost_table(&lat)[0], [1, 14, 50, 90, 150, 250]);
     }
 
     #[test]

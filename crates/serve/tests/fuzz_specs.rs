@@ -1,6 +1,7 @@
 //! Fuzz-style property tests for every parser the server exposes to
 //! untrusted bytes: [`JobRequest::parse`] and the four spec `FromStr`
-//! impls behind it. The property is the no-panic contract the audit
+//! impls behind it (plus simulator construction from every accepted
+//! `SimConfig`). The property is the no-panic contract the audit
 //! (`cargo xtask audit`) proves statically, re-checked dynamically:
 //! arbitrary input yields `Ok` or a non-empty `Err` message — never a
 //! panic — and the catch-unwind harness reports the offending input
@@ -13,7 +14,7 @@ use std::str::FromStr;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use lgr_cachesim::SimConfig;
+use lgr_cachesim::{MemoryLayout, MemorySim, SimConfig, SIM_KNOBS};
 use lgr_engine::{AppSpec, DatasetSpec, TechniqueSpec};
 use lgr_serve::JobRequest;
 
@@ -49,8 +50,37 @@ fn all_parsers(input: &str) -> Result<(), TestCaseError> {
     no_panic("TechniqueSpec::from_str", input, TechniqueSpec::from_str)?;
     no_panic("AppSpec::from_str", input, AppSpec::from_str)?;
     no_panic("DatasetSpec::from_str", input, DatasetSpec::from_str)?;
-    no_panic("SimConfig::from_str", input, SimConfig::from_str)?;
+    sim_from_knobs(input)?;
     Ok(())
+}
+
+/// Every config the `SimConfig` parser accepts must also build a
+/// simulator.
+fn sim_from_knobs(input: &str) -> Result<(), TestCaseError> {
+    no_panic("SimConfig::from_str + MemorySim::new", input, |s| {
+        SimConfig::from_str(s).map(|cfg| MemorySim::new(cfg, MemoryLayout::new()))
+    })
+}
+
+/// `--sim` knob lists: each value a power of two up to 4096 or a raw
+/// count below 6000, so ragged and zero geometries sit beside accepted
+/// ones (and no accepted simulator holds more than 24 MiB of cache
+/// state: 16 cores and 16 sockets at 4 MiB per level).
+fn sim_knobs() -> impl Strategy<Value = String> {
+    vec(
+        (0usize..SIM_KNOBS.len(), 0u32..2, 0u32..13, 0u32..6000),
+        0..4,
+    )
+    .prop_map(|knobs| {
+        knobs
+            .iter()
+            .map(|&(k, pow, exp, raw)| {
+                let value = if pow == 1 { 1 << exp } else { raw };
+                format!("{}={value}", SIM_KNOBS[k])
+            })
+            .collect::<Vec<_>>()
+            .join(",")
+    })
 }
 
 /// Arbitrary bytes, lossily decoded — exercises invalid UTF-8
@@ -128,6 +158,12 @@ proptest! {
     fn near_valid_json_never_panics_any_parser(input in near_valid_json()) {
         all_parsers(&input)?;
     }
+
+    /// Simulator knob lists either fail to parse or build a simulator.
+    #[test]
+    fn sim_knobs_parse_to_buildable_simulators(input in sim_knobs()) {
+        sim_from_knobs(&input)?;
+    }
 }
 
 /// Fixed regression inputs for the sites this PR converted from
@@ -147,4 +183,9 @@ fn converted_sites_regression_inputs() {
     // full handle_line path is covered in serve_roundtrip.rs).
     assert!(JobRequest::parse(r#"{"stats":"maybe"}"#).is_err());
     assert!(JobRequest::parse(r#"{"app":"pr","stats":"true"}"#).is_err());
+    // cachesim config.rs accepted geometries `MemorySim::new` then
+    // panicked on (6 and 96 sets), and `l1kb=` wrapped on `n << 10`.
+    for knobs in ["l1kb=3", "llckb=96", "l1kb=18014398509481985"] {
+        assert!(SimConfig::from_str(knobs).is_err(), "{knobs}");
+    }
 }
