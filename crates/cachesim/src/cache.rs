@@ -17,6 +17,17 @@
 //!
 //! Which physical way holds a block is never observable: every method
 //! answers exactly as a timestamp-ordered LRU cache does.
+//!
+//! # Set partitions
+//!
+//! A block's set is the top `k` bits of one fixed hash of its number,
+//! for a cache of `2^k` sets (`partition(block, 2^k)`). A coarser cut
+//! of the same hash, `partition(block, 2^m)` with `m <= k`, is
+//! therefore a prefix of the set index: every set lies wholly inside
+//! one partition, at every level. [`crate::MemorySim::partial`] relies
+//! on this nesting to simulate partitions independently, so any change
+//! to set indexing must keep it: every level's set index must refine
+//! the partitions `partition` defines.
 
 use crate::BLOCK_BYTES;
 
@@ -46,6 +57,26 @@ fn way_of(set: &[u64], block: u64) -> Option<usize> {
 /// unless it was an empty way.
 fn evicted(word: u64) -> Option<(u64, bool)> {
     (word != EMPTY).then_some((word >> 1, word & DIRTY != 0))
+}
+
+/// Which of `parts` equal parts of the hash space `block` falls in,
+/// for a power-of-two `parts`: the top `log2(parts)` bits of the
+/// block's hash, 0 when `parts` is 1. A cache's set index is this
+/// function with `parts` = its set count (see the module docs).
+pub(crate) fn partition(block: u64, parts: usize) -> usize {
+    // Hashed set indexing (Fibonacci multiplicative hash) rather than
+    // low-order bits. This models what a real machine does to regular
+    // address patterns: virtual-to-physical translation scatters
+    // page-granularity bits, and Intel LLCs hash the set index
+    // outright. Without it, synthetic graphs whose hot vertices sit at
+    // structured IDs (e.g. R-MAT's low-popcount hubs) collide into a
+    // handful of sets and the simulator reports conflict pathologies no
+    // real run would see.
+    //
+    // With `parts = 2^k` the high half of the 128-bit product is the
+    // hash's top `k` bits.
+    let hashed = block.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    ((u128::from(hashed) * parts as u128) >> 64) as usize
 }
 
 /// An LRU set-associative cache. Stores block addresses only (trace
@@ -105,21 +136,9 @@ impl SetAssocCache {
         self.words.len() * BLOCK_BYTES as usize
     }
 
-    /// Set that `block` maps to.
+    /// Set that `block` maps to: its partition among `num_sets` parts.
     pub(crate) fn set_index(&self, block: u64) -> usize {
-        // Hashed set indexing (Fibonacci multiplicative hash) rather
-        // than low-order bits. This models what a real machine does to
-        // regular address patterns: virtual-to-physical translation
-        // scatters page-granularity bits, and Intel LLCs hash the set
-        // index outright. Without it, synthetic graphs whose hot
-        // vertices sit at structured IDs (e.g. R-MAT's low-popcount
-        // hubs) collide into a handful of sets and the simulator
-        // reports conflict pathologies no real run would see.
-        //
-        // With `num_sets = 2^k` the high half of the 128-bit product
-        // is the hash's top `k` bits (and 0 for a single set).
-        let hashed = block.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        ((u128::from(hashed) * self.num_sets as u128) >> 64) as usize
+        partition(block, self.num_sets)
     }
 
     /// Index of the first way of `block`'s set.
@@ -246,6 +265,30 @@ mod tests {
             b += 1;
         }
         out
+    }
+
+    #[test]
+    fn set_indices_nest_inside_coarser_partitions() {
+        // L1, L2 and LLC of the default machine (8, 32 and 128 sets)
+        // plus a single-set cache: a block's set in a finer cache
+        // determines its set (or partition) in every coarser one.
+        let caches = [1, 8, 32, 128].map(|sets| SetAssocCache::new(sets * 64, 1));
+        for block in (0..4096).chain((0..64).map(|i| (1u64 << 40) + i * 977)) {
+            for fine in &caches {
+                let set = fine.set_index(block);
+                assert!(set < fine.num_sets);
+                for coarse in caches.iter().filter(|c| c.num_sets <= fine.num_sets) {
+                    let ratio = fine.num_sets / coarse.num_sets;
+                    assert_eq!(coarse.set_index(block), set / ratio, "block {block}");
+                    assert_eq!(partition(block, coarse.num_sets), set / ratio);
+                }
+            }
+        }
+        // Pinned values: changing the hash moves every simulated count.
+        assert_eq!(
+            [1u64, 2, 3, 1 << 40].map(|b| caches[3].set_index(b)),
+            [79, 30, 109, 37]
+        );
     }
 
     #[test]

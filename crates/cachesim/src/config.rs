@@ -132,17 +132,8 @@ impl SimConfig {
                 expected: Some("cores dividing evenly across at least one socket".to_owned()),
             });
         }
-        let levels = [
-            ("l1", self.l1_bytes, self.l1_ways),
-            ("l2", self.l2_bytes, self.l2_ways),
-            ("llc", self.llc_bytes, self.llc_ways),
-        ];
-        for (level, bytes, ways) in levels {
-            let sets = ways
-                .checked_mul(BLOCK_BYTES as usize)
-                .filter(|&set_bytes| set_bytes > 0 && bytes.is_multiple_of(set_bytes))
-                .and_then(|set_bytes| bytes.checked_div(set_bytes));
-            if !sets.is_some_and(usize::is_power_of_two) {
+        for (level, bytes, ways, sets) in self.levels() {
+            if sets.is_none() {
                 let token = if bytes.is_multiple_of(1 << 10) {
                     format!("{level}kb={}", bytes >> 10)
                 } else {
@@ -157,6 +148,38 @@ impl SimConfig {
             }
         }
         Ok(())
+    }
+
+    /// Each level's name, capacity, associativity and set count; the
+    /// count is `None` unless the capacity is a positive multiple of
+    /// `ways × 64` bytes with a power-of-two quotient.
+    fn levels(&self) -> [(&'static str, usize, usize, Option<usize>); 3] {
+        [
+            ("l1", self.l1_bytes, self.l1_ways),
+            ("l2", self.l2_bytes, self.l2_ways),
+            ("llc", self.llc_bytes, self.llc_ways),
+        ]
+        .map(|(level, bytes, ways)| {
+            let sets = ways
+                .checked_mul(BLOCK_BYTES as usize)
+                .filter(|&set_bytes| set_bytes > 0 && bytes.is_multiple_of(set_bytes))
+                .and_then(|set_bytes| bytes.checked_div(set_bytes))
+                .filter(|sets| sets.is_power_of_two());
+            (level, bytes, ways, sets)
+        })
+    }
+
+    /// Number of set partitions the hierarchy splits into: the
+    /// smallest set count among its levels (1 for a geometry
+    /// [`SimConfig::validate`] rejects). Every set of every level lies
+    /// inside one partition, so the partitions simulate independently
+    /// (see [`MemorySim::partial`](crate::MemorySim::partial)).
+    pub fn partitions(&self) -> usize {
+        self.levels()
+            .iter()
+            .map(|&(_, _, _, sets)| sets.unwrap_or(1))
+            .min()
+            .unwrap_or(1)
     }
 
     /// Cores per socket.
@@ -269,6 +292,26 @@ mod tests {
         assert_eq!(c.socket_of(3), 0);
         assert_eq!(c.socket_of(4), 1);
         assert!(c.l1_bytes < c.l2_bytes && c.l2_bytes < c.llc_bytes);
+    }
+
+    #[test]
+    fn partitions_are_the_smallest_set_count() {
+        // 8, 32 and 128 sets: the L1 bounds the split.
+        assert_eq!(SimConfig::default().partitions(), 8);
+        // An L1 with more sets than its L2: the L2 bounds it.
+        let cfg: SimConfig = "l1kb=64".parse().unwrap();
+        assert_eq!(cfg.partitions(), 32);
+        let single_set_llc = SimConfig {
+            llc_bytes: 16 * 64,
+            ..Default::default()
+        };
+        assert_eq!(single_set_llc.partitions(), 1);
+        // A geometry validate() rejects is one partition, not a panic.
+        let ragged = SimConfig {
+            l1_ways: 0,
+            ..Default::default()
+        };
+        assert_eq!(ragged.partitions(), 1);
     }
 
     #[test]

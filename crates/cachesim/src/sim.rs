@@ -7,8 +7,21 @@
 //! off-chip). Writes to blocks shared by other cores trigger
 //! invalidations (RFO), which is what makes push-based applications
 //! (PRD, SSSP) generate the coherence traffic the paper measures.
+//!
+//! # Partitions
+//!
+//! Every level indexes its sets by the top bits of one block hash (see
+//! [`crate::cache`]), so the top `m` bits, with `2^m` the smallest set
+//! count ([`SimConfig::partitions`]), name a partition that contains
+//! everything an access can touch: its block's set at every level, the
+//! victims those sets evict (which share the set), other cores' copies
+//! of the block, and its directory entry. Partitions therefore evolve
+//! independently, and [`MemorySim::partial`] simulators that split them
+//! among themselves report statistics summing exactly to one whole
+//! simulator's. This holds only while every level's set index refines
+//! the same partitions; a change to set indexing must keep that.
 
-use crate::cache::SetAssocCache;
+use crate::cache::{partition, SetAssocCache};
 use crate::config::{LatencyModel, SimConfig, MAX_CORES};
 use crate::layout::{AccessPattern, ArrayId, MemoryLayout};
 use crate::stats::SimStats;
@@ -61,6 +74,12 @@ pub struct MemorySim {
     /// Cores of each socket, as sharer masks.
     socket_cores: [u16; MAX_CORES],
     cost: CostTable,
+    /// Whether this simulator owns each set partition (all of them
+    /// unless built by [`MemorySim::partial`]).
+    owned: Vec<bool>,
+    /// Whether [`MemorySim::instr`] counts (share 0 only, so the
+    /// shares of a trace count its instructions once).
+    charges_instr: bool,
     stats: SimStats,
 }
 
@@ -74,6 +93,21 @@ impl MemorySim {
     /// directory stores sharer sets as 16-bit masks) or if cores do not
     /// divide evenly across sockets.
     pub fn new(config: SimConfig, layout: MemoryLayout) -> Self {
+        Self::partial(config, layout, 0, 1)
+    }
+
+    /// A simulator restricted to share `share` of `shares`: the set
+    /// partitions `p` with `p % shares == share` (see the module docs).
+    /// It ignores every access to a block outside them, and only share
+    /// 0 counts instructions, so `shares` simulators fed the same trace
+    /// report statistics that sum exactly to [`MemorySim::new`]'s.
+    /// Shares beyond [`SimConfig::partitions`] own nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `share >= shares`, and as [`MemorySim::new`] does.
+    pub fn partial(config: SimConfig, layout: MemoryLayout, share: usize, shares: usize) -> Self {
+        assert!(share < shares, "share {share} of {shares}");
         assert!(
             config.cores >= 1 && config.cores <= MAX_CORES,
             "1..={MAX_CORES} cores supported"
@@ -102,6 +136,10 @@ impl MemorySim {
             socket_of,
             socket_cores,
             cost: cost_table(&config.latency),
+            owned: (0..config.partitions())
+                .map(|p| p % shares == share)
+                .collect(),
+            charges_instr: share == 0,
             config,
             layout,
             stats: SimStats::default(),
@@ -125,20 +163,25 @@ impl MemorySim {
 
     /// Charges `count` modeled instructions executed by a core.
     /// Instructions contribute `count / 2` base cycles (IPC 2 when not
-    /// memory-stalled).
+    /// memory-stalled). Partial simulators other than share 0 ignore
+    /// them.
     pub fn instr(&mut self, count: u64) {
-        self.stats.instructions += count;
-        self.stats.cycles += count / 2;
+        if self.charges_instr {
+            self.stats.instructions += count;
+            self.stats.cycles += count / 2;
+        }
     }
 
-    /// Simulates a read of `array[index]` by `core`.
+    /// Simulates a read of `array[index]` by `core` (nothing, if its
+    /// block lies outside this simulator's partitions).
     pub fn read(&mut self, core: usize, array: ArrayId, index: usize) {
         let addr = self.layout.addr(array, index);
         let pattern = self.layout.pattern(array);
         self.access(core, addr / BLOCK_BYTES, false, pattern);
     }
 
-    /// Simulates a write of `array[index]` by `core`.
+    /// Simulates a write of `array[index]` by `core` (nothing, if its
+    /// block lies outside this simulator's partitions).
     pub fn write(&mut self, core: usize, array: ArrayId, index: usize) {
         let addr = self.layout.addr(array, index);
         let pattern = self.layout.pattern(array);
@@ -147,6 +190,9 @@ impl MemorySim {
 
     fn access(&mut self, core: usize, block: u64, write: bool, pattern: AccessPattern) {
         debug_assert!(core < self.config.cores, "core {core} out of range");
+        if !self.owned[partition(block, self.owned.len())] {
+            return;
+        }
         let served = self.access_inner(core, block, write);
         self.charge(served, pattern);
     }

@@ -1,5 +1,11 @@
 //! Simulation statistics: per-level hit/miss counts, the paper's
 //! Fig. 9 L2-miss breakdown, and the cycle estimate.
+//!
+//! Every statistic is a count, so runs add: the statistics of
+//! [`MemorySim::partial`](crate::MemorySim::partial) simulators sum
+//! (`+=`) to the whole simulator's.
+
+use std::ops::AddAssign;
 
 /// Accesses and misses at one cache level.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -32,6 +38,13 @@ impl LevelStats {
         } else {
             self.misses as f64 / self.accesses as f64
         }
+    }
+}
+
+impl AddAssign for LevelStats {
+    fn add_assign(&mut self, other: Self) {
+        self.accesses += other.accesses;
+        self.misses += other.misses;
     }
 }
 
@@ -73,6 +86,15 @@ impl L2MissBreakdown {
     }
 }
 
+impl AddAssign for L2MissBreakdown {
+    fn add_assign(&mut self, other: Self) {
+        self.l3_hits += other.l3_hits;
+        self.snoops_local += other.snoops_local;
+        self.snoops_remote += other.snoops_remote;
+        self.off_chip += other.off_chip;
+    }
+}
+
 /// Aggregate statistics for one simulated run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
@@ -99,6 +121,17 @@ impl SimStats {
             self.l2.mpki(self.instructions),
             self.l3.mpki(self.instructions),
         ]
+    }
+}
+
+impl AddAssign for SimStats {
+    fn add_assign(&mut self, other: Self) {
+        self.instructions += other.instructions;
+        self.l1 += other.l1;
+        self.l2 += other.l2;
+        self.l3 += other.l3;
+        self.l2_breakdown += other.l2_breakdown;
+        self.cycles += other.cycles;
     }
 }
 
@@ -130,6 +163,43 @@ mod tests {
         let f = b.fractions();
         assert!((f.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert_eq!(f[3], 0.4);
+    }
+
+    #[test]
+    fn stats_add_field_by_field() {
+        let level = |accesses, misses| LevelStats { accesses, misses };
+        let a = SimStats {
+            instructions: 1,
+            l1: level(2, 3),
+            l2: level(4, 5),
+            l3: level(6, 7),
+            l2_breakdown: L2MissBreakdown {
+                l3_hits: 8,
+                snoops_local: 9,
+                snoops_remote: 10,
+                off_chip: 11,
+            },
+            cycles: 12,
+        };
+        let mut sum = a;
+        sum += a;
+        sum += SimStats::default();
+        assert_eq!(
+            sum,
+            SimStats {
+                instructions: 2,
+                l1: level(4, 6),
+                l2: level(8, 10),
+                l3: level(12, 14),
+                l2_breakdown: L2MissBreakdown {
+                    l3_hits: 16,
+                    snoops_local: 18,
+                    snoops_remote: 20,
+                    off_chip: 22,
+                },
+                cycles: 24,
+            }
+        );
     }
 
     #[test]

@@ -30,7 +30,11 @@
 //! `reorder_ms`, is measured once per key and then shared). All
 //! threads share the session's single worker [`Pool`]; its broadcasts
 //! serialize internally, so concurrent jobs interleave safely at
-//! data-parallel-section granularity.
+//! data-parallel-section granularity. A traced run is one such
+//! section: every worker replays the kernel into a simulator of its
+//! share of the cache-set partitions
+//! ([`MemorySim::partial`](lgr_cachesim::MemorySim::partial)), and the
+//! shares' statistics sum to the same counts for any pool size.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -42,12 +46,13 @@ use lgr_analytics::apps::pagerank_delta::{pagerank_delta_with_arrays, PrdArrays}
 use lgr_analytics::apps::radii::{radii_with_arrays, RadiiArrays};
 use lgr_analytics::apps::sssp::{sssp_with_arrays, SsspArrays};
 use lgr_analytics::apps::{AppId, BcConfig, PrConfig, PrdConfig, RadiiConfig, SsspConfig};
-use lgr_cachesim::{MemoryLayout, MemorySim, NullTracer, SimConfig, SimStats};
+use lgr_cachesim::{MemoryLayout, MemorySim, NullTracer, SimConfig, SimStats, Tracer};
 use lgr_core::{ReorderingTechnique, TimedReorder};
 use lgr_graph::datasets::DatasetScale;
 use lgr_graph::{Csr, DegreeKind, VertexId};
 use lgr_io::DatasetCache;
 use lgr_parallel::Pool;
+use lgr_sync::{rank, Mutex, Rank};
 
 use crate::app::AppSpec;
 use crate::coalesce::{CacheConfig, CacheStats, EvictionPolicy, ShardedCache};
@@ -292,6 +297,10 @@ impl Job {
     }
 }
 
+/// A traced run's summed partial statistics; locked inside a pool
+/// broadcast, so while the caller holds `pool.gate`.
+const PARTIALS_RANK: Rank = rank(320, "engine.run.partials");
+
 type ReorderKey = (DatasetSpec, TechniqueSpec, DegreeKind);
 type RunKey = (AppSpec, DatasetSpec, Option<TechniqueSpec>);
 
@@ -304,8 +313,8 @@ pub struct Session {
     registry: TechniqueRegistry,
     dataset_registry: DatasetRegistry,
     /// Worker pool shared by every CSR build, permutation apply, file
-    /// parse, and framework reordering the session performs — across
-    /// all threads driving the session concurrently. Sized by the
+    /// parse, framework reordering and traced simulation the session
+    /// performs — across all threads driving the session concurrently. Sized by the
     /// `LGR_THREADS` knob (default: available parallelism).
     pool: Pool,
     graphs: ShardedCache<DatasetSpec, Csr>,
@@ -346,6 +355,10 @@ impl Session {
     /// A session whose technique specs also resolve against
     /// `registry`'s custom techniques.
     pub fn with_registry(cfg: SessionConfig, registry: TechniqueRegistry) -> Self {
+        Self::with_pool(cfg, registry, Pool::with_default_threads())
+    }
+
+    fn with_pool(cfg: SessionConfig, registry: TechniqueRegistry, pool: Pool) -> Self {
         let cache_cfg = CacheConfig {
             budget_bytes: cfg.cache_bytes,
             policy: cfg.cache_policy,
@@ -354,7 +367,7 @@ impl Session {
         Session {
             registry,
             dataset_registry: DatasetRegistry::new(),
-            pool: Pool::with_default_threads(),
+            pool,
             graphs: ShardedCache::with_config(cache_cfg),
             reorders: ShardedCache::with_config(cache_cfg),
             reordered: ShardedCache::with_config(cache_cfg),
@@ -635,7 +648,7 @@ impl Session {
             let base = self.graph(&job.dataset);
             let (graph, roots) = self.prepared(job, &base);
             let start = Instant::now();
-            self.run_untraced(&job.app, &graph, &roots);
+            self.execute(&job.app, &graph, &roots, |_| NullTracer);
             start.elapsed()
         })
     }
@@ -725,81 +738,83 @@ impl Session {
         .with_sources(sources.to_vec())
     }
 
-    /// Runs an app on the simulator, registering its arrays first.
+    /// Runs an app on the simulator. The traced kernel runs once per
+    /// pool worker, each feeding a [`MemorySim::partial`] that owns its
+    /// share of the set partitions; the partial statistics sum to
+    /// exactly what one whole simulator reports, whatever the thread
+    /// count.
     fn run_traced(&self, app: &AppSpec, graph: &Csr, roots: &[VertexId]) -> SimStats {
+        let sim = self.cfg.sim;
+        let shares = self.pool.threads().min(sim.partitions());
+        let partial = |share| {
+            let partial = |layout| MemorySim::partial(sim, layout, share, shares);
+            *self.execute(app, graph, roots, partial).stats()
+        };
+        if shares == 1 {
+            return partial(0);
+        }
+        let total = Mutex::ranked(PARTIALS_RANK, SimStats::default());
+        // The closure must not touch the pool: the broadcast holds its
+        // gate, which is not reentrant.
+        self.pool.broadcast(|worker| {
+            if worker < shares {
+                let stats = partial(worker);
+                *total.lock() += stats;
+            }
+        });
+        total.into_inner()
+    }
+
+    /// Registers the app's arrays, runs its kernel once against the
+    /// tracer `tracer` builds from that layout, and returns the tracer.
+    /// Root-dependent apps trace every root into the one tracer.
+    fn execute<T: Tracer>(
+        &self,
+        app: &AppSpec,
+        graph: &Csr,
+        roots: &[VertexId],
+        tracer: impl FnOnce(MemoryLayout) -> T,
+    ) -> T {
         let cores = self.cfg.sim.cores;
         let mut layout = MemoryLayout::new();
         match app.id() {
             AppId::Pr => {
                 let arrays = PrArrays::register(&mut layout, graph);
-                let mut sim = MemorySim::new(self.cfg.sim, layout);
-                pagerank_with_arrays(graph, &self.pr_config(app), &arrays, &mut sim);
-                *sim.stats()
+                let mut t = tracer(layout);
+                pagerank_with_arrays(graph, &self.pr_config(app), &arrays, &mut t);
+                t
             }
             AppId::Prd => {
                 let arrays = PrdArrays::register(&mut layout, graph);
-                let mut sim = MemorySim::new(self.cfg.sim, layout);
-                pagerank_delta_with_arrays(graph, &self.prd_config(app), &arrays, &mut sim);
-                *sim.stats()
+                let mut t = tracer(layout);
+                pagerank_delta_with_arrays(graph, &self.prd_config(app), &arrays, &mut t);
+                t
             }
             AppId::Sssp => {
                 let arrays = SsspArrays::register(&mut layout, graph);
-                let mut sim = MemorySim::new(self.cfg.sim, layout);
+                let mut t = tracer(layout);
                 for &r in roots {
                     let cfg = SsspConfig {
                         cores,
                         ..SsspConfig::from_root(r)
                     };
-                    sssp_with_arrays(graph, &cfg, &arrays, &mut sim);
+                    sssp_with_arrays(graph, &cfg, &arrays, &mut t);
                 }
-                *sim.stats()
+                t
             }
             AppId::Bc => {
                 let arrays = BcArrays::register(&mut layout, graph);
-                let mut sim = MemorySim::new(self.cfg.sim, layout);
+                let mut t = tracer(layout);
                 for &r in roots {
-                    let cfg = BcConfig { root: r, cores };
-                    bc_with_arrays(graph, &cfg, &arrays, &mut sim);
+                    bc_with_arrays(graph, &BcConfig { root: r, cores }, &arrays, &mut t);
                 }
-                *sim.stats()
+                t
             }
             AppId::Radii => {
                 let arrays = RadiiArrays::register(&mut layout, graph);
-                let mut sim = MemorySim::new(self.cfg.sim, layout);
-                radii_with_arrays(graph, &self.radii_config(app, roots), &arrays, &mut sim);
-                *sim.stats()
-            }
-        }
-    }
-
-    /// Runs an app with the null tracer (host-speed execution).
-    fn run_untraced(&self, app: &AppSpec, graph: &Csr, roots: &[VertexId]) {
-        let cores = self.cfg.sim.cores;
-        let mut t = NullTracer;
-        match app.id() {
-            AppId::Pr => {
-                lgr_analytics::apps::pagerank(graph, &self.pr_config(app), &mut t);
-            }
-            AppId::Prd => {
-                lgr_analytics::apps::pagerank_delta(graph, &self.prd_config(app), &mut t);
-            }
-            AppId::Sssp => {
-                for &r in roots {
-                    let cfg = SsspConfig {
-                        cores,
-                        ..SsspConfig::from_root(r)
-                    };
-                    lgr_analytics::apps::sssp(graph, &cfg, &mut t);
-                }
-            }
-            AppId::Bc => {
-                for &r in roots {
-                    let cfg = BcConfig { root: r, cores };
-                    lgr_analytics::apps::bc(graph, &cfg, &mut t);
-                }
-            }
-            AppId::Radii => {
-                lgr_analytics::apps::radii(graph, &self.radii_config(app, roots), &mut t);
+                let mut t = tracer(layout);
+                radii_with_arrays(graph, &self.radii_config(app, roots), &arrays, &mut t);
+                t
             }
         }
     }
@@ -943,6 +958,24 @@ mod tests {
 
     fn lj() -> DatasetSpec {
         DatasetSpec::builtin(DatasetId::Lj)
+    }
+
+    #[test]
+    fn run_statistics_do_not_depend_on_the_thread_count() {
+        // Three threads do not divide the default machine's 8 set
+        // partitions.
+        let stats = |threads| {
+            let cfg = SessionConfig::quick();
+            let s = Session::with_pool(cfg, TechniqueRegistry::new(), Pool::new(threads));
+            let jobs = AppSpec::all()
+                .into_iter()
+                .map(|app| Job::new(app, DatasetId::Sd));
+            jobs.map(|job| s.run(&job).stats).collect::<Vec<_>>()
+        };
+        let one = stats(1);
+        assert_eq!(one.len(), 5);
+        assert_eq!(stats(2), one);
+        assert_eq!(stats(3), one);
     }
 
     #[test]
