@@ -29,7 +29,7 @@ use crate::BLOCK_BYTES;
 
 /// Directory entry: which cores hold the block, and whether one of
 /// them holds it dirty.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct DirEntry {
     /// Bitmask over cores with the block in their private caches.
     sharers: u16,
@@ -38,6 +38,14 @@ struct DirEntry {
 }
 
 const NO_OWNER: u8 = u8::MAX;
+
+impl DirEntry {
+    /// A block no core holds.
+    const UNCACHED: DirEntry = DirEntry {
+        sharers: 0,
+        dirty_owner: NO_OWNER,
+    };
+}
 
 /// Where an access was ultimately served; indexes the cycle-cost
 /// table.
@@ -132,7 +140,7 @@ impl MemorySim {
             llc: (0..config.sockets)
                 .map(|_| SetAssocCache::new(config.llc_bytes, config.llc_ways))
                 .collect(),
-            directory: vec![DirEntry::default(); num_blocks],
+            directory: vec![DirEntry::UNCACHED; num_blocks],
             socket_of,
             socket_cores,
             cost: cost_table(&config.latency),
@@ -326,10 +334,8 @@ impl MemorySim {
                 // Write: take ownership, invalidate the old owner.
                 self.l1[owner].invalidate_block(block);
                 self.l2[owner].invalidate_block(block);
-                self.directory[dir_idx] = DirEntry {
-                    sharers: 0, // requester added by note_present
-                    dirty_owner: NO_OWNER,
-                };
+                // The requester is added by note_present.
+                self.directory[dir_idx] = DirEntry::UNCACHED;
             } else {
                 // Read: the owner's line is demoted to shared; the
                 // dirty data is written back to the owner's LLC.
@@ -543,6 +549,35 @@ mod tests {
         sim.read(1, a, 0); // same socket: local snoop
         let b = sim.stats().l2_breakdown;
         assert_eq!(b.snoops_local, 1, "{b:?}");
+    }
+
+    #[test]
+    fn cold_reads_go_off_chip_whichever_core_reads() {
+        // Regression: fresh directory entries named core 0 their dirty
+        // owner, so a cold read by any other core counted a snoop
+        // (local for core 1, remote for core 5) and dirty-filled
+        // socket 0's LLC.
+        for core in [0, 1, 5] {
+            let (mut sim, a) = sim_with(64);
+            sim.read(core, a, 0);
+            let b = sim.stats().l2_breakdown;
+            let want = crate::stats::L2MissBreakdown {
+                off_chip: 1,
+                ..Default::default()
+            };
+            assert_eq!(b, want, "core {core}");
+        }
+    }
+
+    #[test]
+    fn a_block_fetched_clean_is_an_l3_hit_for_a_neighbour() {
+        // Core 0's read leaves the block clean in socket 0's LLC; core
+        // 1 (same socket) then finds it there, with no snoop.
+        let (mut sim, a) = sim_with(64);
+        sim.read(0, a, 0);
+        sim.read(1, a, 0);
+        let b = sim.stats().l2_breakdown;
+        assert_eq!((b.off_chip, b.l3_hits, b.snoops_local), (1, 1, 0), "{b:?}");
     }
 
     #[test]

@@ -17,26 +17,26 @@ use lgr_engine::{AppSpec, DatasetSpec, Job, Session, SessionConfig, TechniqueSpe
 /// `SessionConfig::quick()`; technique `""` is the original order.
 #[rustfmt::skip]
 const GOLDEN: &[(&str, &str, &str, [u64; 12])] = &[
-    ("sd", "", "pr", [532576, 254000, 70666, 70666, 37745, 37745, 6385, 25615, 3351, 2394, 6385, 2198316]),
-    ("sd", "", "prd", [965366, 394728, 76873, 76873, 54938, 54938, 12488, 7604, 23461, 11385, 12488, 4227091]),
-    ("sd", "", "sssp", [566702, 191508, 51315, 51315, 29865, 29865, 6501, 14374, 5184, 3806, 6501, 1787889]),
-    ("sd", "", "bc", [407428, 169105, 29386, 29386, 20929, 20929, 1972, 8785, 4647, 5525, 1972, 1378178]),
-    ("sd", "", "radii", [891724, 355552, 82870, 82870, 44999, 44999, 17190, 21147, 3646, 3016, 17190, 3059936]),
-    ("sd", "dbg", "pr", [532576, 254000, 43323, 43323, 25716, 25716, 10159, 14053, 615, 889, 10159, 1969874]),
-    ("sd", "dbg", "prd", [965366, 394728, 48175, 48175, 34270, 34270, 14345, 6329, 7835, 5761, 14345, 3316794]),
-    ("sd", "dbg", "sssp", [601348, 203059, 36869, 36869, 21133, 21133, 10128, 8502, 1359, 1144, 10128, 1666127]),
-    ("sd", "dbg", "bc", [407428, 169105, 23202, 23202, 16136, 16136, 6714, 5372, 1827, 2223, 6714, 1336387]),
-    ("sd", "dbg", "radii", [891724, 355552, 55100, 55100, 36953, 36953, 20041, 14780, 947, 1185, 20041, 2858759]),
-    ("fr", "", "pr", [570908, 277222, 43284, 43284, 21346, 21346, 6804, 8553, 2519, 3470, 6804, 1934058]),
-    ("fr", "", "prd", [1026126, 426579, 48819, 48819, 37496, 37496, 13175, 3814, 12898, 7609, 13175, 3553604]),
-    ("fr", "", "sssp", [543670, 183262, 30135, 30135, 19531, 19531, 5079, 6247, 4023, 4182, 5079, 1459795]),
-    ("fr", "", "bc", [419464, 176404, 20363, 20363, 15171, 15171, 1812, 3995, 4317, 5047, 1812, 1242070]),
-    ("fr", "", "radii", [1187503, 474278, 64218, 64218, 41586, 41586, 24834, 10733, 2533, 3486, 24834, 3606708]),
-    ("fr", "dbg", "pr", [570908, 277222, 31831, 31831, 18439, 18439, 10118, 6324, 1202, 795, 10118, 1893752]),
-    ("fr", "dbg", "prd", [1026126, 426579, 39265, 39265, 29018, 29018, 14879, 3590, 6435, 4114, 14879, 3219312]),
-    ("fr", "dbg", "sssp", [656278, 220951, 30850, 30850, 19511, 19511, 10377, 5991, 2194, 949, 10377, 1708661]),
-    ("fr", "dbg", "bc", [419464, 176404, 17934, 17934, 13784, 13784, 6120, 3214, 2670, 1780, 6120, 1274690]),
-    ("fr", "dbg", "radii", [1187503, 474278, 53257, 53257, 36949, 36949, 25918, 8883, 1284, 864, 25918, 3477174]),
+    ("sd", "", "pr", [532576, 254000, 70666, 70666, 37745, 37745, 11603, 25756, 0, 386, 11603, 2292647]),
+    ("sd", "", "prd", [965366, 394728, 76873, 76873, 54938, 54938, 17851, 7639, 20718, 8730, 17851, 4325166]),
+    ("sd", "", "sssp", [566702, 191508, 51315, 51315, 29865, 29865, 10530, 15682, 2616, 1037, 10530, 1843345]),
+    ("sd", "", "bc", [407428, 169105, 29386, 29386, 20929, 20929, 9238, 9832, 669, 1190, 9238, 1503918]),
+    ("sd", "", "radii", [891724, 355552, 82870, 82870, 44999, 44999, 22878, 21220, 318, 583, 22878, 3181841]),
+    ("sd", "dbg", "pr", [532576, 254000, 43323, 43323, 25716, 25716, 10995, 14384, 1, 336, 10995, 1980615]),
+    ("sd", "dbg", "prd", [965366, 394728, 48175, 48175, 34270, 34270, 15697, 6601, 7030, 4942, 15697, 3344573]),
+    ("sd", "dbg", "sssp", [601348, 203059, 36869, 36869, 21133, 21133, 10967, 8873, 746, 547, 10967, 1675731]),
+    ("sd", "dbg", "bc", [407428, 169105, 23202, 23202, 16136, 16136, 9239, 5418, 476, 1003, 9239, 1398446]),
+    ("sd", "dbg", "radii", [891724, 355552, 55100, 55100, 36953, 36953, 21220, 15049, 211, 473, 21220, 2885887]),
+    ("fr", "", "pr", [570908, 277222, 43284, 43284, 21346, 21346, 12276, 8801, 1, 268, 12276, 2015878]),
+    ("fr", "", "prd", [1026126, 426579, 48819, 48819, 37496, 37496, 18650, 3866, 10464, 4516, 18650, 3644754]),
+    ("fr", "", "sssp", [543670, 183262, 30135, 30135, 19531, 19531, 8701, 8585, 1644, 601, 8701, 1495594]),
+    ("fr", "", "bc", [419464, 176404, 20363, 20363, 15171, 15171, 9576, 4373, 532, 690, 9576, 1380136]),
+    ("fr", "", "radii", [1187503, 474278, 64218, 64218, 41586, 41586, 30435, 10900, 4, 247, 30435, 3702937]),
+    ("fr", "dbg", "pr", [570908, 277222, 31831, 31831, 18439, 18439, 11632, 6545, 11, 251, 11632, 1918461]),
+    ("fr", "dbg", "prd", [1026126, 426579, 39265, 39265, 29018, 29018, 16954, 3676, 4980, 3408, 16954, 3261500]),
+    ("fr", "dbg", "sssp", [656278, 220951, 30850, 30850, 19511, 19511, 12167, 6061, 874, 409, 12167, 1740134]),
+    ("fr", "dbg", "bc", [419464, 176404, 17934, 17934, 13784, 13784, 9490, 3236, 364, 694, 9490, 1345852]),
+    ("fr", "dbg", "radii", [1187503, 474278, 53257, 53257, 36949, 36949, 27650, 9004, 49, 246, 27650, 3513585]),
 ];
 
 fn counts(s: &SimStats) -> [u64; 12] {
