@@ -166,43 +166,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_add_field_by_field() {
-        let level = |accesses, misses| LevelStats { accesses, misses };
-        let a = SimStats {
-            instructions: 1,
-            l1: level(2, 3),
-            l2: level(4, 5),
-            l3: level(6, 7),
-            l2_breakdown: L2MissBreakdown {
-                l3_hits: 8,
-                snoops_local: 9,
-                snoops_remote: 10,
-                off_chip: 11,
-            },
-            cycles: 12,
-        };
-        let mut sum = a;
-        sum += a;
-        sum += SimStats::default();
-        assert_eq!(
-            sum,
-            SimStats {
-                instructions: 2,
-                l1: level(4, 6),
-                l2: level(8, 10),
-                l3: level(12, 14),
-                l2_breakdown: L2MissBreakdown {
-                    l3_hits: 16,
-                    snoops_local: 18,
-                    snoops_remote: 20,
-                    off_chip: 22,
-                },
-                cycles: 24,
-            }
-        );
-    }
-
-    #[test]
     fn empty_breakdown() {
         assert_eq!(L2MissBreakdown::default().fractions(), [0.0; 4]);
     }

@@ -314,8 +314,9 @@ pub struct Session {
     dataset_registry: DatasetRegistry,
     /// Worker pool shared by every CSR build, permutation apply, file
     /// parse, framework reordering and traced simulation the session
-    /// performs — across all threads driving the session concurrently. Sized by the
-    /// `LGR_THREADS` knob (default: available parallelism).
+    /// performs — across all threads driving the session concurrently.
+    /// Sized by the `LGR_THREADS` knob (default: available
+    /// parallelism).
     pool: Pool,
     graphs: ShardedCache<DatasetSpec, Csr>,
     reorders: ShardedCache<ReorderKey, TimedReorder>,
@@ -744,11 +745,13 @@ impl Session {
     /// exactly what one whole simulator reports, whatever the thread
     /// count.
     fn run_traced(&self, app: &AppSpec, graph: &Csr, roots: &[VertexId]) -> SimStats {
-        let sim = self.cfg.sim;
-        let shares = self.pool.threads().min(sim.partitions());
+        let machine = self.cfg.sim;
+        let shares = self.pool.threads().min(machine.partitions());
         let partial = |share| {
-            let partial = |layout| MemorySim::partial(sim, layout, share, shares);
-            *self.execute(app, graph, roots, partial).stats()
+            let sim = self.execute(app, graph, roots, |layout| {
+                MemorySim::partial(machine, layout, share, shares)
+            });
+            *sim.stats()
         };
         if shares == 1 {
             return partial(0);
@@ -806,7 +809,8 @@ impl Session {
                 let arrays = BcArrays::register(&mut layout, graph);
                 let mut t = tracer(layout);
                 for &r in roots {
-                    bc_with_arrays(graph, &BcConfig { root: r, cores }, &arrays, &mut t);
+                    let cfg = BcConfig { root: r, cores };
+                    bc_with_arrays(graph, &cfg, &arrays, &mut t);
                 }
                 t
             }
