@@ -34,9 +34,11 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use lgr_bench::experiments::{self, Experiment};
-use lgr_bench::{AppSpec, DatasetSpec, Session, SessionConfig, SpecError, TechniqueSpec};
 use lgr_cachesim::SimConfig;
-use lgr_engine::{BUILTIN_DATASETS, BUILTIN_TECHNIQUES, DATASET_SPEC_FORMS};
+use lgr_engine::{
+    parse_bytes, AppSpec, DatasetSpec, Session, SessionConfig, SpecError, TechniqueSpec,
+    BUILTIN_DATASETS, BUILTIN_TECHNIQUES, DATASET_SPEC_FORMS,
+};
 
 /// Exit code for unknown experiment/technique/app/dataset names
 /// (distinct from 1, which covers malformed flags).
@@ -198,23 +200,6 @@ fn main() -> ExitCode {
         eprint!("{}", session.cache_stats());
     }
     ExitCode::SUCCESS
-}
-
-/// Parses a byte size with an optional binary suffix: `4096`,
-/// `4096k`, `16m`, `1g` (case-insensitive).
-fn parse_bytes(s: &str) -> Result<u64, String> {
-    let s = s.trim();
-    let (digits, mult) = match s.chars().last().map(|c| c.to_ascii_lowercase()) {
-        Some('k') => (&s[..s.len() - 1], 1u64 << 10),
-        Some('m') => (&s[..s.len() - 1], 1 << 20),
-        Some('g') => (&s[..s.len() - 1], 1 << 30),
-        _ => (s, 1),
-    };
-    digits
-        .parse::<u64>()
-        .ok()
-        .and_then(|n| n.checked_mul(mult))
-        .ok_or_else(|| format!("not a byte size: `{s}`"))
 }
 
 /// `--list`: every name and spec grammar in one place (they otherwise

@@ -12,8 +12,7 @@ use crate::TextTable;
 /// Sweeps DBG's number of geometric hot groups on one unstructured
 /// and one structured dataset, reporting PR speedup and structure
 /// preservation. Every swept variant is addressed through the spec
-/// layer (`dbg:groups=k`) — the parameterizations the closed
-/// `TechniqueId` enum could never name.
+/// layer (`dbg:groups=k`).
 pub fn run(h: &Session) -> String {
     // This is a DBG/PR study: honor the session filters like every
     // other experiment.

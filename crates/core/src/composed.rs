@@ -12,57 +12,14 @@ use lgr_graph::{Csr, DegreeKind, Permutation};
 use lgr_parallel::Pool;
 
 use crate::technique::ReorderingTechnique;
-use crate::{Dbg, Gorder};
 
-/// Runs `first`, rebuilds the graph, runs `second` on the result, and
-/// returns the composed permutation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Composed<A, B> {
-    first: A,
-    second: B,
-    name: &'static str,
-}
-
-impl<A: ReorderingTechnique, B: ReorderingTechnique> Composed<A, B> {
-    /// Composes `first` then `second` under the given display name.
-    pub fn new(first: A, second: B, name: &'static str) -> Self {
-        Composed {
-            first,
-            second,
-            name,
-        }
-    }
-}
-
-/// The paper's Gorder+DBG layering (Sec. VII).
-pub type GorderDbg = Composed<Gorder, Dbg>;
-
-/// Constructs Gorder+DBG with both techniques at their defaults.
-pub fn gorder_dbg() -> GorderDbg {
-    Composed::new(Gorder::new(), Dbg::default(), "Gorder+DBG")
-}
-
-impl<A: ReorderingTechnique, B: ReorderingTechnique> ReorderingTechnique for Composed<A, B> {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn reorder(&self, graph: &Csr, kind: DegreeKind) -> Permutation {
-        let p1 = self.first.reorder(graph, kind);
-        let intermediate = graph.apply_permutation(&p1);
-        let p2 = self.second.reorder(&intermediate, kind);
-        p1.then(&p2)
-    }
-}
-
-/// Runtime composition of an arbitrary number of boxed techniques,
-/// applied left to right with permutation composition — the dynamic
-/// counterpart of the statically-typed [`Composed`]. This is what a
-/// spec string like `"gorder+dbg"` builds.
+/// Runtime composition of boxed techniques, applied left to right
+/// with permutation composition. This is what a spec string like
+/// `"gorder+dbg"` builds.
 ///
 /// Stage `i+1` sees the graph as reordered by stages `0..=i`, and the
 /// returned permutation is the composition of every stage's
-/// relabeling, exactly as [`Composed`] does for two stages.
+/// relabeling.
 pub struct Pipeline {
     stages: Vec<Box<dyn ReorderingTechnique>>,
 }
@@ -128,39 +85,30 @@ impl ReorderingTechnique for Pipeline {
 mod tests {
     use super::*;
     use crate::framework::hot_threshold;
+    use crate::{Dbg, Gorder};
     use lgr_graph::average_degree;
     use lgr_graph::gen::{community, CommunityConfig};
+
+    fn gorder_then_dbg() -> Pipeline {
+        Pipeline::new(vec![Box::new(Gorder::new()), Box::new(Dbg::default())])
+    }
 
     #[test]
     fn composition_matches_manual_layering() {
         let el = community(CommunityConfig::new(512, 6.0).with_seed(4));
         let g = Csr::from_edge_list(&el);
-        let combo = gorder_dbg().reorder(&g, DegreeKind::Out);
+        let pipeline = gorder_then_dbg();
+        let combo = pipeline.reorder(&g, DegreeKind::Out);
 
         let p1 = Gorder::new().reorder(&g, DegreeKind::Out);
         let mid = g.apply_permutation(&p1);
         let p2 = Dbg::default().reorder(&mid, DegreeKind::Out);
         assert_eq!(combo, p1.then(&p2));
-        assert_eq!(gorder_dbg().name(), "Gorder+DBG");
-    }
-
-    #[test]
-    fn pipeline_matches_static_composition() {
-        let el = community(CommunityConfig::new(512, 6.0).with_seed(4));
-        let g = Csr::from_edge_list(&el);
-        let pipeline = Pipeline::new(vec![Box::new(Gorder::new()), Box::new(Dbg::default())]);
-        assert_eq!(
-            pipeline.reorder(&g, DegreeKind::Out),
-            gorder_dbg().reorder(&g, DegreeKind::Out)
-        );
         assert_eq!(pipeline.len(), 2);
         assert!(!pipeline.is_empty());
         // The pooled path must compute the identical permutation.
         let pool = lgr_parallel::Pool::new(2);
-        assert_eq!(
-            pipeline.reorder_with(&g, DegreeKind::Out, &pool),
-            pipeline.reorder(&g, DegreeKind::Out)
-        );
+        assert_eq!(pipeline.reorder_with(&g, DegreeKind::Out, &pool), combo);
     }
 
     #[test]
@@ -178,7 +126,7 @@ mod tests {
     fn composition_segregates_hot_vertices() {
         let el = community(CommunityConfig::new(1024, 8.0).with_seed(9));
         let g = Csr::from_edge_list(&el);
-        let p = gorder_dbg().reorder(&g, DegreeKind::Out);
+        let p = gorder_then_dbg().reorder(&g, DegreeKind::Out);
         let h = g.apply_permutation(&p);
         let degrees = h.out_degrees();
         let threshold = hot_threshold(average_degree(&degrees));

@@ -55,9 +55,9 @@ pub mod random;
 pub mod technique;
 
 pub use classic::{BfsOrder, CuthillMcKee};
-pub use composed::{gorder_dbg, Composed, GorderDbg, Pipeline};
+pub use composed::Pipeline;
 pub use framework::GroupingSpec;
 pub use gorder::Gorder;
 pub use grouping::{Dbg, HubCluster, HubClusterOriginal, HubSort, HubSortOriginal, Sort};
 pub use random::{RandomCacheBlock, RandomVertex};
-pub use technique::{Identity, ReorderingTechnique, TechniqueId, TimedReorder};
+pub use technique::{Identity, ReorderingTechnique, TimedReorder};

@@ -35,89 +35,6 @@ pub trait ReorderingTechnique {
     }
 }
 
-/// Stable identifiers for the techniques evaluated in the paper.
-///
-/// **Deprecated (soft):** this closed enum survives only as a
-/// compatibility alias layer. New code should address techniques
-/// through `lgr_engine::TechniqueSpec` — parsed from strings like
-/// `"dbg:groups=4"` or `"gorder+dbg"`, open to custom registrations,
-/// and with an honest `Display` for every parameterization (this
-/// enum's [`TechniqueId::name`] cannot name `RandomCacheBlock(n)` for
-/// n outside {1, 2, 4}). `TechniqueSpec` implements
-/// `From<TechniqueId>` for the transition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum TechniqueId {
-    /// Baseline: no reordering.
-    Original,
-    /// Full descending-degree sort.
-    Sort,
-    /// Hub Sorting (Zhang et al.), framework reimplementation.
-    HubSort,
-    /// Hub Clustering (Balaji & Lucia), framework reimplementation.
-    HubCluster,
-    /// Degree-Based Grouping — the paper's contribution.
-    Dbg,
-    /// Gorder (Wei et al.): structure-aware, heavyweight.
-    Gorder,
-    /// Gorder followed by DBG (paper Sec. VII).
-    GorderDbg,
-    /// Hub Sorting, original-implementation variant ("HubSort-O").
-    HubSortO,
-    /// Hub Clustering, original-implementation variant ("HubCluster-O").
-    HubClusterO,
-    /// Random reordering at vertex granularity.
-    RandomVertex,
-    /// Random reordering at cache-block granularity (n blocks).
-    RandomCacheBlock(u8),
-}
-
-impl TechniqueId {
-    /// The five techniques of the main evaluation (Fig. 6), in paper
-    /// order.
-    pub const MAIN_EVAL: [TechniqueId; 5] = [
-        TechniqueId::Sort,
-        TechniqueId::HubSort,
-        TechniqueId::HubCluster,
-        TechniqueId::Dbg,
-        TechniqueId::Gorder,
-    ];
-
-    /// The four skew-aware techniques (everything in the main
-    /// evaluation except Gorder).
-    pub const SKEW_AWARE: [TechniqueId; 4] = [
-        TechniqueId::Sort,
-        TechniqueId::HubSort,
-        TechniqueId::HubCluster,
-        TechniqueId::Dbg,
-    ];
-
-    /// Display name matching the paper's figures.
-    ///
-    /// **Deprecated (soft):** being `&'static str`, this cannot format
-    /// parameter values — `RandomCacheBlock(n)` for n outside {1, 2, 4}
-    /// collapses to the placeholder `"RCB-n"`. Report labels should go
-    /// through `lgr_engine::TechniqueSpec::label`, which formats the
-    /// actual block count.
-    pub fn name(self) -> &'static str {
-        match self {
-            TechniqueId::Original => "Original",
-            TechniqueId::Sort => "Sort",
-            TechniqueId::HubSort => "HubSort",
-            TechniqueId::HubCluster => "HubCluster",
-            TechniqueId::Dbg => "DBG",
-            TechniqueId::Gorder => "Gorder",
-            TechniqueId::GorderDbg => "Gorder+DBG",
-            TechniqueId::HubSortO => "HubSort-O",
-            TechniqueId::HubClusterO => "HubCluster-O",
-            TechniqueId::RandomVertex => "RV",
-            TechniqueId::RandomCacheBlock(1) => "RCB-1",
-            TechniqueId::RandomCacheBlock(2) => "RCB-2",
-            TechniqueId::RandomCacheBlock(4) => "RCB-4",
-            TechniqueId::RandomCacheBlock(_) => "RCB-n",
-        }
-    }
-}
-
 /// The do-nothing baseline: every vertex keeps its ID.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Identity;
@@ -144,20 +61,6 @@ pub struct TimedReorder {
 }
 
 impl TimedReorder {
-    /// Runs `technique` on `graph` and records the elapsed wall time.
-    pub fn run<T: ReorderingTechnique + ?Sized>(
-        technique: &T,
-        graph: &Csr,
-        kind: DegreeKind,
-    ) -> TimedReorder {
-        let start = Instant::now();
-        let permutation = technique.reorder(graph, kind);
-        TimedReorder {
-            permutation,
-            elapsed: start.elapsed(),
-        }
-    }
-
     /// Runs `technique` on the pool and records the elapsed wall time
     /// (the paper's reordering implementations are themselves
     /// parallel, so pooled timings are the fair input to the
@@ -199,15 +102,14 @@ mod tests {
             el.push(i, i + 1);
         }
         let g = Csr::from_edge_list(&el);
-        let t = TimedReorder::run(&Identity, &g, DegreeKind::Out);
+        let t = TimedReorder::run_with(&Identity, &g, DegreeKind::Out, &Pool::new(1));
         assert!(t.permutation.is_identity());
     }
 
     #[test]
     fn technique_names_match_paper() {
-        assert_eq!(TechniqueId::Dbg.name(), "DBG");
-        assert_eq!(TechniqueId::RandomCacheBlock(4).name(), "RCB-4");
-        assert_eq!(TechniqueId::HubSortO.name(), "HubSort-O");
-        assert_eq!(TechniqueId::MAIN_EVAL.len(), 5);
+        assert_eq!(crate::Dbg::default().name(), "DBG");
+        assert_eq!(crate::RandomCacheBlock::new(4, 0).name(), "RCB-4");
+        assert_eq!(crate::HubSortOriginal::new().name(), "HubSort-O");
     }
 }

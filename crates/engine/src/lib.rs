@@ -1,9 +1,9 @@
 //! The string-addressable engine: sessions, specs, and reports.
 //!
-//! This crate is the composable public surface of the reproduction —
-//! the redesign that replaces the closed `TechniqueId` enum-and-match
-//! API with an open one, the way Ligra/GAPBS-style suites expose apps
-//! and orderings by name on the command line:
+//! This crate is the composable public surface of the reproduction.
+//! It addresses techniques, apps and datasets by name, the way
+//! Ligra/GAPBS-style suites expose apps and orderings on the command
+//! line:
 //!
 //! * [`TechniqueSpec`] — a reordering technique parsed from strings
 //!   like `"dbg"`, `"dbg:groups=4"`, `"hubsort-o"`, `"rcb:4"`, with
@@ -72,7 +72,7 @@ pub use dataset::{
 };
 pub use registry::{TechniqueBuilder, TechniqueRegistry};
 pub use report::Report;
-pub use session::{Job, RunStats, Session, SessionCacheStats, SessionConfig};
+pub use session::{parse_bytes, Job, RunStats, Session, SessionCacheStats, SessionConfig};
 pub use spec::{
     SpecError, TechniqueAtom, TechniqueSpec, BUILTIN_TECHNIQUES, DEFAULT_DBG_HOT_GROUPS,
     DEFAULT_SEED,

@@ -172,13 +172,14 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_build_matches_the_seed_composed_technique() {
+    fn pipeline_build_matches_manual_layering() {
         let reg = TechniqueRegistry::new();
         let g = Csr::from_edge_list(&community(CommunityConfig::new(512, 6.0).with_seed(4)));
         let spec = reg.parse("gorder+dbg").unwrap();
         let combo = reg.build(&spec).unwrap().reorder(&g, DegreeKind::Out);
-        let seed_impl = lgr_core::gorder_dbg().reorder(&g, DegreeKind::Out);
-        assert_eq!(combo, seed_impl);
+        let p1 = Gorder::new().reorder(&g, DegreeKind::Out);
+        let p2 = Dbg::default().reorder(&g.apply_permutation(&p1), DegreeKind::Out);
+        assert_eq!(combo, p1.then(&p2));
     }
 
     #[test]

@@ -154,6 +154,32 @@ impl SessionConfig {
     }
 }
 
+/// Parses a byte size with an optional binary suffix: `4096`,
+/// `4096k`, `16m`, `1g` (case-insensitive), the grammar of the CLIs'
+/// `--cache-bytes` flag ([`SessionConfig::cache_bytes`]).
+///
+/// # Errors
+///
+/// A message naming the input when it is not a size or overflows
+/// `u64`.
+pub fn parse_bytes(s: &str) -> Result<u64, String> {
+    let s = s.trim();
+    let (digits, mult) = if let Some(d) = s.strip_suffix(['k', 'K']) {
+        (d, 1u64 << 10)
+    } else if let Some(d) = s.strip_suffix(['m', 'M']) {
+        (d, 1 << 20)
+    } else if let Some(d) = s.strip_suffix(['g', 'G']) {
+        (d, 1 << 30)
+    } else {
+        (s, 1)
+    };
+    digits
+        .parse::<u64>()
+        .ok()
+        .and_then(|n| n.checked_mul(mult))
+        .ok_or_else(|| format!("not a byte size: `{s}`"))
+}
+
 /// One traced run's outcome.
 #[derive(Debug, Clone, Copy)]
 pub struct RunStats {
@@ -604,11 +630,16 @@ impl Session {
     /// at most one root per candidate — when `count` exceeds the
     /// candidate pool the result is the whole pool, never duplicated
     /// roots (a duplicate would double-charge its traversal in the
-    /// aggregated simulation).
+    /// aggregated simulation). A graph without candidates is rooted at
+    /// vertex 0; an empty graph has no roots.
     pub fn roots(&self, ds: &DatasetSpec, count: usize) -> Vec<VertexId> {
         let candidates = self.root_candidates(ds);
         if candidates.is_empty() {
-            return vec![0];
+            return if self.graph(ds).num_vertices() == 0 {
+                Vec::new()
+            } else {
+                vec![0]
+            };
         }
         let k = count.max(1).min(candidates.len());
         (0..k)
@@ -997,6 +1028,90 @@ mod tests {
         let c = s.dataset_reorder(&lj(), &TechniqueSpec::dbg(), DegreeKind::In);
         let d = s.dataset_reorder(&lj(), &TechniqueSpec::dbg(), DegreeKind::Out);
         assert!(!Arc::ptr_eq(&c, &d), "DBG is degree-kind sensitive");
+        // The reordered-CSR cache shares the canonicalized keys...
+        let g = s.reordered_graph(&lj(), &TechniqueSpec::dbg(), DegreeKind::Out);
+        let again = s.reordered_graph(&lj(), &TechniqueSpec::dbg(), DegreeKind::Out);
+        assert!(Arc::ptr_eq(&g, &again), "same key must reuse the CSR");
+        let rv_in = s.reordered_graph(&lj(), &TechniqueSpec::rv(), DegreeKind::In);
+        let rv_out = s.reordered_graph(&lj(), &TechniqueSpec::rv(), DegreeKind::Out);
+        assert!(Arc::ptr_eq(&rv_in, &rv_out), "RV ignores degree kind");
+        // ...and holds exactly a fresh sequential apply.
+        assert_eq!(*g, s.graph(&lj()).apply_permutation(&d.permutation));
+    }
+
+    #[test]
+    fn roots_are_deterministic_and_valid() {
+        let s = tiny();
+        let sd = DatasetSpec::builtin(DatasetId::Sd);
+        let roots = s.roots(&sd, 4);
+        assert_eq!(roots, s.roots(&sd, 4));
+        assert_eq!(roots.len(), 4);
+        let g = s.graph(&sd);
+        for &r in &roots {
+            assert!(g.out_degree(r) > 0);
+        }
+    }
+
+    #[test]
+    fn roots_never_duplicate_when_count_exceeds_pool() {
+        let s = tiny();
+        // Far more roots than any 2^10-vertex dataset has candidates:
+        // the result must be capped and duplicate-free.
+        let roots = s.roots(&lj(), 10_000_000);
+        let mut unique = roots.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), roots.len(), "duplicate roots returned");
+        assert!(roots.len() <= s.graph(&lj()).num_vertices());
+    }
+
+    #[test]
+    fn net_speedup_increases_with_traversals() {
+        let s = tiny();
+        let (app, dbg) = (AppSpec::new(AppId::Sssp), TechniqueSpec::dbg());
+        let one = s.net_speedup(&app, &lj(), &dbg, 1);
+        let many = s.net_speedup(&app, &lj(), &dbg, 64);
+        assert!(many >= one, "amortization should help: {one} vs {many}");
+    }
+
+    #[test]
+    fn empty_datasets_run_every_app_under_every_ordering() {
+        let dir = std::env::temp_dir().join(format!("lgr-session-empty-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("empty.el");
+        std::fs::write(&path, "# nothing\n").unwrap();
+        let spec: DatasetSpec = format!("file:{}", path.display()).parse().unwrap();
+        let s = tiny();
+        for app in AppSpec::all() {
+            for technique in [None, Some(TechniqueSpec::dbg())] {
+                let job = Job {
+                    app: app.clone(),
+                    dataset: spec.clone(),
+                    technique,
+                };
+                assert_eq!(s.report(&job).cycles, 0, "{job:?}");
+            }
+        }
+        assert!(s.roots(&spec, 4).is_empty(), "an empty graph has no roots");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn byte_sizes_parse_with_optional_suffix() {
+        assert_eq!(parse_bytes("4096"), Ok(4096));
+        assert_eq!(parse_bytes("4k"), Ok(4 << 10));
+        assert_eq!(parse_bytes("4K"), Ok(4 << 10));
+        assert_eq!(parse_bytes(" 16m "), Ok(16 << 20));
+        assert_eq!(parse_bytes("1G"), Ok(1 << 30));
+    }
+
+    /// Inputs that would index out of a short string under a
+    /// `&s[..s.len() - 1]` suffix strip are clean errors.
+    #[test]
+    fn degenerate_byte_sizes_are_errors_not_panics() {
+        for bad in ["", "k", "K", "g", "-1k", "9x", "999999999999999999g"] {
+            assert!(parse_bytes(bad).is_err(), "{bad:?}");
+        }
     }
 
     #[test]
@@ -1013,9 +1128,8 @@ mod tests {
     #[test]
     fn out_of_enum_parameterizations_are_first_class() {
         let s = tiny();
-        // rcb:3 was unreachable through TechniqueId (only 1/2/4 had
-        // honest names); through the spec layer it runs and labels
-        // correctly.
+        // `RandomCacheBlock::name` can only say "RCB-n" for three
+        // blocks; the spec layer runs rcb:3 and labels it exactly.
         let spec: TechniqueSpec = "rcb:3".parse().unwrap();
         let job = Job::new(AppSpec::new(AppId::Pr), DatasetId::Lj).with_technique(spec.clone());
         let report = s.report(&job);

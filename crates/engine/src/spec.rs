@@ -16,8 +16,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use lgr_core::TechniqueId;
-
 /// Seed shared by the random probes unless overridden, matching the
 /// paper reproduction's fixed methodology seed.
 pub const DEFAULT_SEED: u64 = 0xDECAF;
@@ -216,10 +214,10 @@ impl TechniqueAtom {
     }
 
     /// Human-facing label matching the paper's figures (`"DBG"`,
-    /// `"RCB-3"`, ...). Unlike `TechniqueId::name`, this formats the
-    /// *actual* parameter values: `rcb:3` labels as `RCB-3`, not a
-    /// placeholder, and non-default probe seeds are spelled out so
-    /// differently-seeded columns stay distinguishable.
+    /// `"RCB-3"`, ...). This formats the *actual* parameter values:
+    /// `rcb:3` labels as `RCB-3`, not a placeholder, and non-default
+    /// probe seeds are spelled out so differently-seeded columns stay
+    /// distinguishable.
     pub fn label(&self) -> String {
         match self {
             TechniqueAtom::Original => "Original".to_owned(),
@@ -436,38 +434,6 @@ impl TechniqueSpec {
     pub fn uses_degree_kind(&self) -> bool {
         self.atoms.iter().any(TechniqueAtom::uses_degree_kind)
     }
-
-    /// The legacy [`TechniqueId`] this spec corresponds to, if any.
-    /// Parameterizations outside the closed enum (e.g. `rcb:3` beyond
-    /// `u8`, `dbg:groups=4`, arbitrary compositions) return `None`.
-    pub fn technique_id(&self) -> Option<TechniqueId> {
-        match self.atoms.as_slice() {
-            [TechniqueAtom::Original] => Some(TechniqueId::Original),
-            [TechniqueAtom::Sort] => Some(TechniqueId::Sort),
-            [TechniqueAtom::HubSort] => Some(TechniqueId::HubSort),
-            [TechniqueAtom::HubCluster] => Some(TechniqueId::HubCluster),
-            [TechniqueAtom::HubSortO] => Some(TechniqueId::HubSortO),
-            [TechniqueAtom::HubClusterO] => Some(TechniqueId::HubClusterO),
-            [TechniqueAtom::Gorder] => Some(TechniqueId::Gorder),
-            [TechniqueAtom::Dbg { hot_groups }] if *hot_groups == DEFAULT_DBG_HOT_GROUPS => {
-                Some(TechniqueId::Dbg)
-            }
-            [TechniqueAtom::Gorder, TechniqueAtom::Dbg { hot_groups }]
-                if *hot_groups == DEFAULT_DBG_HOT_GROUPS =>
-            {
-                Some(TechniqueId::GorderDbg)
-            }
-            [TechniqueAtom::RandomVertex { seed }] if *seed == DEFAULT_SEED => {
-                Some(TechniqueId::RandomVertex)
-            }
-            [TechniqueAtom::RandomCacheBlock { blocks, seed }]
-                if *seed == DEFAULT_SEED && *blocks <= u8::MAX as u32 =>
-            {
-                Some(TechniqueId::RandomCacheBlock(*blocks as u8))
-            }
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for TechniqueSpec {
@@ -479,24 +445,6 @@ impl fmt::Display for TechniqueSpec {
             atom.write_spec(f)?;
         }
         Ok(())
-    }
-}
-
-impl From<TechniqueId> for TechniqueSpec {
-    fn from(id: TechniqueId) -> Self {
-        match id {
-            TechniqueId::Original => Self::original(),
-            TechniqueId::Sort => Self::sort(),
-            TechniqueId::HubSort => Self::hubsort(),
-            TechniqueId::HubCluster => Self::hubcluster(),
-            TechniqueId::Dbg => Self::dbg(),
-            TechniqueId::Gorder => Self::gorder(),
-            TechniqueId::GorderDbg => Self::gorder_dbg(),
-            TechniqueId::HubSortO => Self::hubsort_o(),
-            TechniqueId::HubClusterO => Self::hubcluster_o(),
-            TechniqueId::RandomVertex => Self::rv(),
-            TechniqueId::RandomCacheBlock(n) => Self::rcb(n as u32),
-        }
     }
 }
 
@@ -748,31 +696,8 @@ mod tests {
     }
 
     #[test]
-    fn every_technique_id_round_trips() {
-        let mut ids = vec![
-            TechniqueId::Original,
-            TechniqueId::GorderDbg,
-            TechniqueId::HubSortO,
-            TechniqueId::HubClusterO,
-            TechniqueId::RandomVertex,
-            TechniqueId::RandomCacheBlock(1),
-            TechniqueId::RandomCacheBlock(2),
-            TechniqueId::RandomCacheBlock(4),
-            TechniqueId::RandomCacheBlock(7),
-        ];
-        ids.extend(TechniqueId::MAIN_EVAL);
-        for id in ids {
-            let spec = TechniqueSpec::from(id);
-            let reparsed: TechniqueSpec = spec.to_string().parse().unwrap();
-            assert_eq!(reparsed, spec, "{id:?}");
-            assert_eq!(spec.technique_id(), Some(id), "{id:?}");
-        }
-    }
-
-    #[test]
     fn labels_format_actual_parameters() {
-        // The TechniqueId::name placeholder bug: RCB with n outside
-        // {1,2,4} used to label as "RCB-n".
+        // RCB with n outside {1,2,4} must not label as "RCB-n".
         assert_eq!(TechniqueSpec::rcb(3).label(), "RCB-3");
         assert_eq!(TechniqueSpec::rcb(16).label(), "RCB-16");
         assert_eq!(TechniqueSpec::dbg().label(), "DBG");

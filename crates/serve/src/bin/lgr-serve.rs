@@ -43,7 +43,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use lgr_cachesim::SimConfig;
-use lgr_engine::{EvictionPolicy, Session, SessionConfig};
+use lgr_engine::{parse_bytes, EvictionPolicy, Session, SessionConfig};
 use lgr_serve::{run_batch, run_local, serve};
 
 fn main() -> ExitCode {
@@ -300,26 +300,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// Parses a byte size with an optional binary suffix: `4096`,
-/// `4096k`, `16m`, `1g` (case-insensitive).
-fn parse_bytes(s: &str) -> Result<u64, String> {
-    let s = s.trim();
-    let (digits, mult) = if let Some(d) = s.strip_suffix(['k', 'K']) {
-        (d, 1u64 << 10)
-    } else if let Some(d) = s.strip_suffix(['m', 'M']) {
-        (d, 1 << 20)
-    } else if let Some(d) = s.strip_suffix(['g', 'G']) {
-        (d, 1 << 30)
-    } else {
-        (s, 1)
-    };
-    digits
-        .parse::<u64>()
-        .ok()
-        .and_then(|n| n.checked_mul(mult))
-        .ok_or_else(|| format!("not a byte size: `{s}`"))
-}
-
 /// Reads non-empty job lines from a file or stdin (`-`).
 fn read_jobs(path: Option<&str>) -> Result<Vec<String>, String> {
     let text = match path {
@@ -354,28 +334,5 @@ fn usage(err: &str) -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::parse_bytes;
-
-    #[test]
-    fn byte_sizes_parse_with_optional_suffix() {
-        assert_eq!(parse_bytes("4096"), Ok(4096));
-        assert_eq!(parse_bytes("4k"), Ok(4 << 10));
-        assert_eq!(parse_bytes("4K"), Ok(4 << 10));
-        assert_eq!(parse_bytes(" 16m "), Ok(16 << 20));
-        assert_eq!(parse_bytes("1G"), Ok(1 << 30));
-    }
-
-    /// Regression for the converted `&s[..s.len() - 1]` sites: inputs
-    /// that once indexed out of a short string are clean errors.
-    #[test]
-    fn degenerate_byte_sizes_are_errors_not_panics() {
-        for bad in ["", "k", "K", "g", "-1k", "9x", "999999999999999999g"] {
-            assert!(parse_bytes(bad).is_err(), "{bad:?}");
-        }
     }
 }

@@ -29,7 +29,8 @@
 //!   cache simulator (MPKI, snoop classification, cycle model).
 //! * [`parallel`] (`lgr-parallel`) — the persistent worker pool and
 //!   data-parallel primitives behind the pooled CSR build, permutation
-//!   apply, reordering, and analytics paths.
+//!   apply, reordering, text parsing, and partitioned traced
+//!   simulation.
 //!
 //! # Quickstart
 //!
@@ -181,25 +182,6 @@
 //! assert!(stats.graphs.resident_bytes <= 64 * 1024);
 //! println!("{stats}"); // fixed-width table; stats.to_json() for one JSON line
 //! ```
-//!
-//! # Migrating from `TechniqueId`
-//!
-//! The closed `TechniqueId` enum (and the `Harness` in `lgr-bench`)
-//! remain as thin deprecated layers. The spec API replaces them:
-//!
-//! | Legacy call | Spec-based replacement |
-//! |---|---|
-//! | `harness.run(AppId::Pr, ds, Some(TechniqueId::Dbg))` | `session.run(&Job::new("pr".parse()?, ds).with_technique("dbg".parse()?))` |
-//! | `harness.speedup(app, ds, TechniqueId::Sort)` | `session.speedup(&AppSpec::new(app), ds, &"sort".parse()?)` |
-//! | `harness.reorder(ds, TechniqueId::Gorder, kind)` | `session.dataset_reorder(ds, &"gorder".parse()?, kind)` |
-//! | `harness.technique(TechniqueId::HubSort)` | `session.technique(&"hubsort".parse()?)` |
-//! | `TechniqueId::Dbg.name()` | `TechniqueSpec::dbg().label()` |
-//! | `TechniqueId::RandomCacheBlock(3).name()` (lied: `"RCB-n"`) | `TechniqueSpec::rcb(3).label()` (honest: `"RCB-3"`) |
-//! | `Box::new(lgr_core::gorder_dbg())` | `session.technique(&"gorder+dbg".parse()?)` |
-//! | `TechniqueId::MAIN_EVAL` | `TechniqueSpec::main_eval()` |
-//!
-//! `TechniqueSpec` implements `From<TechniqueId>`, so existing enum
-//! values convert directly while code migrates.
 
 #![warn(missing_docs)]
 
@@ -218,9 +200,7 @@ pub mod prelude {
         RadiiConfig, SsspConfig,
     };
     pub use lgr_cachesim::{MemorySim, NullTracer, SimConfig, Tracer};
-    pub use lgr_core::{
-        Dbg, Gorder, HubCluster, HubSort, Identity, ReorderingTechnique, Sort, TechniqueId,
-    };
+    pub use lgr_core::{Dbg, Gorder, HubCluster, HubSort, Identity, ReorderingTechnique, Sort};
     pub use lgr_engine::{
         AppSpec, CacheStats, CacheWeight, DatasetRegistry, DatasetSpec, EvictionPolicy, Job,
         Report, Session, SessionCacheStats, SessionConfig, SpecError, TechniqueRegistry,
