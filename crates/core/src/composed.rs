@@ -104,11 +104,25 @@ mod tests {
         let mid = g.apply_permutation(&p1);
         let p2 = Dbg::default().reorder(&mid, DegreeKind::Out);
         assert_eq!(combo, p1.then(&p2));
+    }
+
+    #[test]
+    fn pipeline_matches_static_composition() {
+        let el = community(CommunityConfig::new(512, 6.0).with_seed(4));
+        let g = Csr::from_edge_list(&el);
+        let pipeline = gorder_then_dbg();
         assert_eq!(pipeline.len(), 2);
         assert!(!pipeline.is_empty());
-        // The pooled path must compute the identical permutation.
+        // The pooled path must compute the permutation of the two
+        // concrete stages layered by hand on the same pool...
         let pool = lgr_parallel::Pool::new(2);
-        assert_eq!(pipeline.reorder_with(&g, DegreeKind::Out, &pool), combo);
+        let p1 = Gorder::new().reorder_with(&g, DegreeKind::Out, &pool);
+        let mid = g.apply_permutation_with(&p1, &pool);
+        let p2 = Dbg::default().reorder_with(&mid, DegreeKind::Out, &pool);
+        let pooled = pipeline.reorder_with(&g, DegreeKind::Out, &pool);
+        assert_eq!(pooled, p1.then(&p2));
+        // ...which is also the sequential path's.
+        assert_eq!(pooled, pipeline.reorder(&g, DegreeKind::Out));
     }
 
     #[test]

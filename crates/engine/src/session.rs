@@ -1028,15 +1028,47 @@ mod tests {
         let c = s.dataset_reorder(&lj(), &TechniqueSpec::dbg(), DegreeKind::In);
         let d = s.dataset_reorder(&lj(), &TechniqueSpec::dbg(), DegreeKind::Out);
         assert!(!Arc::ptr_eq(&c, &d), "DBG is degree-kind sensitive");
-        // The reordered-CSR cache shares the canonicalized keys...
-        let g = s.reordered_graph(&lj(), &TechniqueSpec::dbg(), DegreeKind::Out);
-        let again = s.reordered_graph(&lj(), &TechniqueSpec::dbg(), DegreeKind::Out);
-        assert!(Arc::ptr_eq(&g, &again), "same key must reuse the CSR");
-        let rv_in = s.reordered_graph(&lj(), &TechniqueSpec::rv(), DegreeKind::In);
-        let rv_out = s.reordered_graph(&lj(), &TechniqueSpec::rv(), DegreeKind::Out);
-        assert!(Arc::ptr_eq(&rv_in, &rv_out), "RV ignores degree kind");
-        // ...and holds exactly a fresh sequential apply.
-        assert_eq!(*g, s.graph(&lj()).apply_permutation(&d.permutation));
+    }
+
+    #[test]
+    fn reorder_is_cached_and_canonicalized() {
+        let s = tiny();
+        for name in [
+            "sort",
+            "dbg",
+            "gorder",
+            "hubsort-o",
+            "rv",
+            "rcb:2",
+            "gorder+dbg",
+        ] {
+            let spec: TechniqueSpec = name.parse().unwrap();
+            let out = s.dataset_reorder(&lj(), &spec, DegreeKind::Out);
+            let again = s.dataset_reorder(&lj(), &spec, DegreeKind::Out);
+            assert!(Arc::ptr_eq(&out, &again), "{name}: same key must hit");
+            let inn = s.dataset_reorder(&lj(), &spec, DegreeKind::In);
+            assert_eq!(
+                Arc::ptr_eq(&out, &inn),
+                !spec.uses_degree_kind(),
+                "{name}: one entry per kind only if the kind matters"
+            );
+        }
+    }
+
+    #[test]
+    fn reordered_graph_is_cached_across_runs() {
+        let s = tiny();
+        let dbg = TechniqueSpec::dbg();
+        let a = s.reordered_graph(&lj(), &dbg, DegreeKind::Out);
+        let b = s.reordered_graph(&lj(), &dbg, DegreeKind::Out);
+        assert!(Arc::ptr_eq(&a, &b), "same key must reuse the CSR");
+        // Degree-kind canonicalization applies to the graph cache too.
+        let c = s.reordered_graph(&lj(), &TechniqueSpec::rv(), DegreeKind::In);
+        let d = s.reordered_graph(&lj(), &TechniqueSpec::rv(), DegreeKind::Out);
+        assert!(Arc::ptr_eq(&c, &d), "RV ignores degree kind");
+        // And the cached graph matches a fresh sequential apply.
+        let timed = s.dataset_reorder(&lj(), &dbg, DegreeKind::Out);
+        assert_eq!(*a, s.graph(&lj()).apply_permutation(&timed.permutation));
     }
 
     #[test]
