@@ -14,7 +14,7 @@ pub mod radii;
 pub mod sssp;
 
 pub use bc::{bc, BcConfig, BcResult};
-pub use pagerank::{pagerank, PrConfig, PrResult};
+pub use pagerank::{pagerank, pagerank_pooled, PrConfig, PrResult};
 pub use pagerank_delta::{pagerank_delta, PrdConfig, PrdResult};
 pub use radii::{radii, RadiiConfig, RadiiResult};
 pub use sssp::{sssp, SsspConfig, SsspResult};

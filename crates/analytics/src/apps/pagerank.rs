@@ -5,9 +5,15 @@
 //! Per Table VIII the irregular working set is 12 bytes per vertex:
 //! the 8-byte previous-rank entry and the 4-byte out-degree, both
 //! indexed by in-neighbor ID.
+//!
+//! One per-vertex pull body serves two entry points: the traced
+//! [`pagerank_with_arrays`] visits vertices in the simulated cores'
+//! interleaved order, and the untraced [`pagerank_pooled`] fills
+//! edge-balanced vertex ranges on a [`Pool`].
 
-use lgr_cachesim::{AccessPattern, ArrayId, MemoryLayout, Tracer};
+use lgr_cachesim::{AccessPattern, ArrayId, MemoryLayout, NullTracer, Tracer};
 use lgr_graph::{Csr, VertexId};
+use lgr_parallel::{edge_balanced_ranges, par_fill_ranges, Pool};
 
 use crate::arrays::{register_property, CsrArrays};
 use crate::schedule::Schedule;
@@ -80,11 +86,77 @@ pub fn pagerank<T: Tracer>(graph: &Csr, cfg: &PrConfig, tracer: &mut T) -> PrRes
 }
 
 /// Runs PageRank charging accesses against pre-registered arrays.
+///
+/// Vertices are visited in [`Schedule::interleaved`] order, the
+/// model of concurrent cores the simulator sees.
 pub fn pagerank_with_arrays<T: Tracer>(
     graph: &Csr,
     cfg: &PrConfig,
     arrays: &PrArrays,
     tracer: &mut T,
+) -> PrResult {
+    iterate(graph, cfg, arrays, |sweep, curr| {
+        for (core, range) in Schedule::new(curr.len(), cfg.cores).interleaved() {
+            for v in range {
+                curr[v] = sweep.pull(v, core, tracer);
+            }
+        }
+    })
+}
+
+/// Runs PageRank untraced on `pool`: each iteration's pull is split
+/// into contiguous vertex ranges of near-equal in-edge mass
+/// ([`edge_balanced_ranges`]), one per worker, so hub-first orderings
+/// do not load one worker with every hub. The dangling sum and the
+/// convergence delta stay sequential, and every rank comes from the
+/// same per-vertex body as [`pagerank_with_arrays`], so the ranks are
+/// bitwise identical to the traced kernel's for any pool size.
+pub fn pagerank_pooled(graph: &Csr, cfg: &PrConfig, pool: &Pool) -> PrResult {
+    let arrays = PrArrays::register(&mut MemoryLayout::new(), graph);
+    let ranges = edge_balanced_ranges(graph.in_offsets(), pool.threads());
+    iterate(graph, cfg, &arrays, |sweep, curr| {
+        par_fill_ranges(pool, curr, &ranges, |v| sweep.pull(v, 0, &mut NullTracer));
+    })
+}
+
+/// One iteration's read-only inputs to the per-vertex pull.
+struct Sweep<'a> {
+    graph: &'a Csr,
+    arrays: &'a PrArrays,
+    prev: &'a [f64],
+    damping: f64,
+    /// Teleport plus dangling share, added to every vertex.
+    shift: f64,
+}
+
+impl Sweep<'_> {
+    /// Vertex `v`'s new rank, charging its accesses to `core`.
+    #[inline]
+    fn pull<T: Tracer>(&self, v: usize, core: usize, tracer: &mut T) -> f64 {
+        let (graph, arrays) = (self.graph, self.arrays);
+        let vid = v as VertexId;
+        let off = graph.in_edge_offset(vid);
+        tracer.read(core, arrays.csr_in.vtx, v);
+        let mut sum = 0.0f64;
+        for (i, &u) in graph.in_neighbors(vid).iter().enumerate() {
+            tracer.read(core, arrays.csr_in.edge, off + i);
+            tracer.read(core, arrays.prev, u as usize);
+            tracer.read(core, arrays.out_deg, u as usize);
+            sum += self.prev[u as usize] / graph.out_degree(u).max(1) as f64;
+        }
+        tracer.write(core, arrays.curr, v);
+        tracer.instr(10 + 6 * graph.in_degree(vid) as u64);
+        self.shift + self.damping * sum
+    }
+}
+
+/// The iteration loop both entry points share; `sweep_into` fills
+/// every entry of `curr` from the iteration's [`Sweep`].
+fn iterate(
+    graph: &Csr,
+    cfg: &PrConfig,
+    arrays: &PrArrays,
+    mut sweep_into: impl FnMut(&Sweep<'_>, &mut [f64]),
 ) -> PrResult {
     let n = graph.num_vertices();
     if n == 0 {
@@ -93,7 +165,6 @@ pub fn pagerank_with_arrays<T: Tracer>(
             iterations: 0,
         };
     }
-    let schedule = Schedule::new(n, cfg.cores);
     let mut prev = vec![1.0 / n as f64; n];
     let mut curr = vec![0.0f64; n];
     let base = (1.0 - cfg.damping) / n as f64;
@@ -108,24 +179,14 @@ pub fn pagerank_with_arrays<T: Tracer>(
             .map(|v| prev[v as usize])
             .sum();
         let dangling_share = cfg.damping * dangling / n as f64;
-
-        for (core, range) in schedule.interleaved() {
-            for v in range {
-                let vid = v as VertexId;
-                let off = graph.in_edge_offset(vid);
-                tracer.read(core, arrays.csr_in.vtx, v);
-                let mut sum = 0.0f64;
-                for (i, &u) in graph.in_neighbors(vid).iter().enumerate() {
-                    tracer.read(core, arrays.csr_in.edge, off + i);
-                    tracer.read(core, arrays.prev, u as usize);
-                    tracer.read(core, arrays.out_deg, u as usize);
-                    sum += prev[u as usize] / graph.out_degree(u).max(1) as f64;
-                }
-                curr[v] = base + dangling_share + cfg.damping * sum;
-                tracer.write(core, arrays.curr, v);
-                tracer.instr(10 + 6 * graph.in_degree(vid) as u64);
-            }
-        }
+        let sweep = Sweep {
+            graph,
+            arrays,
+            prev: &prev,
+            damping: cfg.damping,
+            shift: base + dangling_share,
+        };
+        sweep_into(&sweep, &mut curr);
 
         let delta: f64 = curr
             .iter()
@@ -228,5 +289,30 @@ mod tests {
         let g = Csr::from_edge_list(&EdgeList::new(0));
         let r = pagerank(&g, &PrConfig::default(), &mut NullTracer);
         assert!(r.ranks.is_empty());
+        assert_eq!(pagerank_pooled(&g, &PrConfig::default(), &Pool::new(2)), r);
+    }
+
+    #[test]
+    fn pooled_ranks_are_bitwise_the_traced_kernels() {
+        use lgr_core::{Dbg, ReorderingTechnique};
+        use lgr_graph::{gen, DegreeKind};
+
+        let g = Csr::from_edge_list(&gen::rmat(gen::RmatConfig::new(10, 8).with_seed(3)));
+        // Under DBG the hubs sit first, so the in-edge-mass split
+        // gives the first worker far fewer vertices than the rest.
+        let dbg = g.apply_permutation(&Dbg::default().reorder(&g, DegreeKind::Out));
+        let cfg = PrConfig {
+            max_iters: 6,
+            ..Default::default()
+        };
+        let bits = |r: &PrResult| r.ranks.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for graph in [&g, &dbg] {
+            let traced = pagerank(graph, &cfg, &mut NullTracer);
+            for threads in [1, 2, 3] {
+                let pooled = pagerank_pooled(graph, &cfg, &Pool::new(threads));
+                assert_eq!(pooled.iterations, traced.iterations, "{threads} threads");
+                assert_eq!(bits(&pooled), bits(&traced), "{threads} threads");
+            }
+        }
     }
 }

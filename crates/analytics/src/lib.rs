@@ -17,7 +17,9 @@
 //! [`lgr_cachesim::MemorySim`] to drive the cache-hierarchy simulator
 //! with the exact access stream the algorithm generates (vertex/edge
 //! array streaming plus the irregular property accesses whose locality
-//! graph reordering manipulates).
+//! graph reordering manipulates). [`apps::pagerank_pooled`] is the
+//! untraced PageRank on a [`lgr_parallel::Pool`]: the same per-vertex
+//! body, with ranks bitwise equal to the traced kernel's.
 //!
 //! # Example
 //!

@@ -34,14 +34,15 @@
 //! section: every worker replays the kernel into a simulator of its
 //! share of the cache-set partitions
 //! ([`MemorySim::partial`](lgr_cachesim::MemorySim::partial)), and the
-//! shares' statistics sum to the same counts for any pool size.
+//! shares' statistics sum to the same counts for any pool size. An
+//! untraced run ([`Session::wall`]) pools the kernel itself.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lgr_analytics::apps::bc::{bc_with_arrays, BcArrays};
-use lgr_analytics::apps::pagerank::{pagerank_with_arrays, PrArrays};
+use lgr_analytics::apps::pagerank::{pagerank_pooled, pagerank_with_arrays, PrArrays};
 use lgr_analytics::apps::pagerank_delta::{pagerank_delta_with_arrays, PrdArrays};
 use lgr_analytics::apps::radii::{radii_with_arrays, RadiiArrays};
 use lgr_analytics::apps::sssp::{sssp_with_arrays, SsspArrays};
@@ -320,6 +321,17 @@ impl Job {
     pub fn with_technique(mut self, spec: TechniqueSpec) -> Self {
         self.technique = Some(spec);
         self
+    }
+}
+
+/// The speedup of a run costing `with` cycles over one costing
+/// `base`. Two runs that cost nothing are equally fast: 1.0, not the
+/// 0 or NaN a plain division gives.
+fn speedup_ratio(base: f64, with: f64) -> f64 {
+    if base == 0.0 && with == 0.0 {
+        1.0
+    } else {
+        base / with.max(1.0)
     }
 }
 
@@ -674,13 +686,30 @@ impl Session {
     }
 
     /// Untraced wall-clock run (same work as [`Session::run`]), cached.
+    ///
+    /// The kernel runs on the session pool, the pool the reorderings
+    /// and permutation applies it is weighed against run on:
+    ///
+    /// * PageRank splits each iteration's pull by in-edge mass
+    ///   ([`pagerank_pooled`]); its ranks are bitwise those of the
+    ///   traced kernel.
+    /// * SSSP and BC run their roots in parallel, worker `w` of `t`
+    ///   taking roots `w, w + t, …`, each traversal with its own
+    ///   state.
+    /// * PageRank-Delta stays sequential: it pushes float deltas into
+    ///   shared sums, so parallel pushes would make its ranks depend
+    ///   on thread timing. So does Radii, which is one multi-source
+    ///   traversal rather than independent ones.
+    ///
+    /// With one pool thread (`LGR_THREADS=1`) every app runs the
+    /// sequential kernel [`Session::run`] traces.
     pub fn wall(&self, job: &Job) -> Duration {
         let key = (job.app.clone(), job.dataset.clone(), job.technique.clone());
         *self.walls.get_or_build(&key, || {
             let base = self.graph(&job.dataset);
             let (graph, roots) = self.prepared(job, &base);
             let start = Instant::now();
-            self.execute(&job.app, &graph, &roots, |_| NullTracer);
+            self.execute_pooled(&job.app, &graph, &roots);
             start.elapsed()
         })
     }
@@ -717,7 +746,7 @@ impl Session {
             instructions: stats.stats.instructions,
             mpki: stats.stats.mpki(),
             reorder_ms,
-            speedup: base.cycles() as f64 / (stats.cycles() as f64).max(1.0),
+            speedup: speedup_ratio(base.cycles() as f64, stats.cycles() as f64),
         }
     }
 
@@ -799,9 +828,40 @@ impl Session {
         total.into_inner()
     }
 
+    /// The untraced kernel behind [`Session::wall`], on the pool.
+    /// `run_traced` calls [`Session::execute`] inside a broadcast, so
+    /// `execute` must never reach this function: the pool gate is not
+    /// reentrant.
+    fn execute_pooled(&self, app: &AppSpec, graph: &Csr, roots: &[VertexId]) {
+        let threads = self.pool.threads();
+        match app.id() {
+            AppId::Pr if threads > 1 => {
+                pagerank_pooled(graph, &self.pr_config(app), &self.pool);
+            }
+            AppId::Sssp | AppId::Bc if threads > 1 => self.for_each_root(roots, |root| {
+                self.execute(app, graph, &[root], |_| NullTracer);
+            }),
+            _ => {
+                self.execute(app, graph, roots, |_| NullTracer);
+            }
+        }
+    }
+
+    /// Runs `traverse(root)` for every root on the pool, worker `w` of
+    /// `t` taking roots `w, w + t, …`.
+    fn for_each_root(&self, roots: &[VertexId], traverse: impl Fn(VertexId) + Sync) {
+        let threads = self.pool.threads();
+        self.pool.broadcast(|worker| {
+            for &root in roots.iter().skip(worker).step_by(threads) {
+                traverse(root);
+            }
+        });
+    }
+
     /// Registers the app's arrays, runs its kernel once against the
     /// tracer `tracer` builds from that layout, and returns the tracer.
-    /// Root-dependent apps trace every root into the one tracer.
+    /// Root-dependent apps trace every root into the one tracer. Never
+    /// touches the pool.
     fn execute<T: Tracer>(
         &self,
         app: &AppSpec,
@@ -862,13 +922,14 @@ impl Session {
     }
 
     /// Speedup factor of `spec` over the original ordering for
-    /// `app` x `ds`, excluding reordering time (Fig. 6's metric).
+    /// `app` x `ds`, excluding reordering time (Fig. 6's metric); 1.0
+    /// when both runs cost zero cycles.
     pub fn speedup(&self, app: &AppSpec, ds: &DatasetSpec, spec: &TechniqueSpec) -> f64 {
         let base = self.run(&Job::new(app.clone(), ds.clone())).cycles() as f64;
         let with = self
             .run(&Job::new(app.clone(), ds.clone()).with_technique(spec.clone()))
             .cycles() as f64;
-        base / with.max(1.0)
+        speedup_ratio(base, with)
     }
 
     /// Converts a wall-clock duration into simulated cycles using the
@@ -877,6 +938,13 @@ impl Session {
     /// ratio is the exchange rate. This lets measured reordering times
     /// be charged against simulated application cycles (Figs. 10–11,
     /// Table XII).
+    ///
+    /// The host side is [`Session::wall`], so the rate is measured on
+    /// the same pool as the reorder times it converts. With more than
+    /// one pool thread that PageRank run is pooled: its host seconds
+    /// fall, so the rate, and the reorder cycles that Figs. 10–11 and
+    /// Table XII charge, are higher than a single-threaded kernel
+    /// would give.
     pub fn wall_to_cycles(&self, ds: &DatasetSpec, wall: Duration) -> u64 {
         let pr = Job::new(AppSpec::new(AppId::Pr), ds.clone());
         let sim_cycles = self.run(&pr).cycles() as f64;
@@ -887,7 +955,8 @@ impl Session {
 
     /// Net speedup including reordering time, amortized over
     /// `traversals` repetitions of the app run (Figs. 10–11):
-    /// `base * T / (reorder + with * T)`.
+    /// `base * T / (reorder + with * T)`, or 1.0 when both sides are
+    /// zero.
     pub fn net_speedup(
         &self,
         app: &AppSpec,
@@ -901,7 +970,10 @@ impl Session {
             .cycles() as f64;
         let reorder = self.dataset_reorder(ds, spec, app.id().reorder_degree());
         let reorder_cycles = self.wall_to_cycles(ds, reorder.elapsed) as f64;
-        (base * traversals as f64) / (reorder_cycles + with * traversals as f64)
+        speedup_ratio(
+            base * traversals as f64,
+            reorder_cycles + with * traversals as f64,
+        )
     }
 
     /// Filters a fixed-comparison roster (the random probes of Fig. 3,
@@ -1014,6 +1086,58 @@ mod tests {
     }
 
     #[test]
+    fn pooled_walls_run_every_app_at_any_pool_size() {
+        for threads in [1, 2, 3] {
+            // More roots than workers, so SSSP and BC split them.
+            let cfg = SessionConfig {
+                roots: 5,
+                ..SessionConfig::quick()
+            };
+            let s = Session::with_pool(cfg, TechniqueRegistry::new(), Pool::new(threads));
+            for app in AppSpec::all() {
+                for technique in [None, Some(TechniqueSpec::dbg())] {
+                    let job = Job {
+                        app: app.clone(),
+                        dataset: DatasetSpec::builtin(DatasetId::Sd),
+                        technique,
+                    };
+                    let first = s.wall(&job);
+                    let hits = s.cache_stats().walls.hits;
+                    assert_eq!(s.wall(&job), first, "{threads} threads: {job:?}");
+                    assert_eq!(s.cache_stats().walls.hits, hits + 1, "repeat must hit");
+                }
+            }
+            assert_eq!(s.cache_stats().walls.misses, 10, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn pooled_roots_match_the_sequential_root_loop() {
+        use lgr_analytics::apps::{bc, sssp};
+
+        let sd = DatasetSpec::builtin(DatasetId::Sd);
+        let traverse = |g: &Csr, root| {
+            let dist = sssp(g, &SsspConfig::from_root(root), &mut NullTracer).distances;
+            let scores = bc(g, &BcConfig::from_root(root), &mut NullTracer).scores;
+            (root, dist, scores)
+        };
+        for threads in [1, 2, 3] {
+            let cfg = SessionConfig::quick();
+            let s = Session::with_pool(cfg, TechniqueRegistry::new(), Pool::new(threads));
+            let g = s.graph(&sd);
+            // Five roots: neither two nor three workers divide them.
+            let roots = s.roots(&sd, 5);
+            assert_eq!(roots.len(), 5);
+            let results = Mutex::new(Vec::new());
+            s.for_each_root(&roots, |root| results.lock().push(traverse(&g, root)));
+            let mut pooled = results.into_inner();
+            pooled.sort_by_key(|(root, ..)| roots.iter().position(|r| r == root));
+            let sequential: Vec<_> = roots.iter().map(|&r| traverse(&g, r)).collect();
+            assert_eq!(pooled, sequential, "{threads} threads");
+        }
+    }
+
+    #[test]
     fn caches_are_keyed_by_spec_and_canonicalized() {
         let s = tiny();
         // Parsed and constructed specs hit the same entry.
@@ -1121,7 +1245,16 @@ mod tests {
                     dataset: spec.clone(),
                     technique,
                 };
-                assert_eq!(s.report(&job).cycles, 0, "{job:?}");
+                let report = s.report(&job);
+                assert_eq!(report.cycles, 0, "{job:?}");
+                // Nothing ran either way: no speedup, no slowdown.
+                assert_eq!(report.speedup, 1.0, "{job:?}");
+            }
+            let dbg = TechniqueSpec::dbg();
+            assert_eq!(s.speedup(&app, &spec, &dbg), 1.0, "{app}");
+            for traversals in [0, 1, 64] {
+                let net = s.net_speedup(&app, &spec, &dbg, traversals);
+                assert!(net.is_finite(), "{app} x{traversals}: {net}");
             }
         }
         assert!(s.roots(&spec, 4).is_empty(), "an empty graph has no roots");
