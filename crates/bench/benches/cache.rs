@@ -1,23 +1,27 @@
-//! Criterion benchmarks for the engine's coalescing cache under
-//! concurrency — the measurements behind two constants in
-//! `lgr_engine::coalesce`:
+//! Benchmarks for the engine's coalescing cache under concurrency —
+//! the measurements behind two choices in `lgr_engine::coalesce`:
 //!
-//! * the shard sweep (1/4/16/64 shards, unbounded, skewed keys,
-//!   8 threads) locates the throughput plateau that justifies
-//!   `DEFAULT_SHARDS`;
+//! * the shard sweep (1/4/16/64 shards, unbounded, 8 threads) under
+//!   skewed hits and under distinct-key insert churn locates the
+//!   throughput plateau that justifies `DEFAULT_SHARDS`;
 //! * the policy sweep (LRU vs cost-aware under a budget that holds a
 //!   fraction of the working set, with a periodically re-touched set
 //!   of expensive-to-build keys) justifies the cost-aware default.
 //!
+//! Run with `cargo bench -p lgr-bench --bench cache`. Each line is the
+//! median wall time of `SAMPLES` runs (after one untimed warm-up) and
+//! the op throughput it implies; the last line is the cost-aware/LRU
+//! throughput ratio.
+//!
 //! Everything is deterministic: keys come from a fixed-seed LCG with
 //! a product skew, build cost is a fixed busy-work loop.
 
-use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use lgr_engine::coalesce::{CacheConfig, EvictionPolicy, ShardedCache};
 
 const THREADS: usize = 8;
+const SAMPLES: usize = 10;
 
 /// Splitmix-style step; high bits are the usable ones.
 fn lcg(state: &mut u64) -> u64 {
@@ -48,83 +52,77 @@ fn build_value(key: u64, work: u64, bytes: usize) -> Vec<u8> {
     v
 }
 
+/// Runs `ops(thread, cache)` on `THREADS` scoped threads sharing a
+/// fresh cache built from `config`.
+fn run_threads(config: CacheConfig, ops: impl Fn(usize, &ShardedCache<u64, Vec<u8>>) + Sync) {
+    let cache = ShardedCache::with_config(config);
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (cache, ops) = (&cache, &ops);
+            scope.spawn(move || ops(t, cache));
+        }
+    });
+}
+
+/// Times `run` once untimed, then `SAMPLES` times, and prints the
+/// median with the throughput of `elements` ops per run.
+fn bench(name: &str, elements: usize, run: impl Fn()) -> Duration {
+    run();
+    let mut samples: Vec<Duration> = (0..SAMPLES)
+        .map(|_| {
+            let start = Instant::now();
+            run();
+            start.elapsed()
+        })
+        .collect();
+    samples.sort_unstable();
+    let median = samples[SAMPLES / 2];
+    println!(
+        "{name:<52} {:>10.3} ms {:>12.0} ops/s",
+        median.as_secs_f64() * 1e3,
+        elements as f64 / median.as_secs_f64()
+    );
+    median
+}
+
 /// Shard sweep: hit-dominated skewed traffic, where throughput is
-/// bounded by lock contention, not build cost.
-fn bench_shards(c: &mut Criterion) {
+/// bounded by lock contention, not build cost; then the write path,
+/// where every op inserts a distinct key, so threads contend on the
+/// shard *write* lock (insert + publish) instead of the per-slot hit
+/// path. The write path is where the shard count earns its keep.
+fn bench_shards() {
     const OPS: usize = 20_000;
     const KEYS: u64 = 64;
-    let mut group = c.benchmark_group("cache_shards");
-    group.throughput(Throughput::Elements((THREADS * OPS) as u64));
-    group.sample_size(10);
-    for shards in [1usize, 4, 16, 64] {
-        group.bench_with_input(
-            BenchmarkId::new("skewed_hits_8threads", shards),
-            &shards,
-            |b, &shards| {
-                b.iter(|| {
-                    let cache: Arc<ShardedCache<u64, Vec<u8>>> = Arc::new(
-                        ShardedCache::with_config(CacheConfig::unbounded().with_shards(shards)),
-                    );
-                    std::thread::scope(|scope| {
-                        for t in 0..THREADS {
-                            let cache = Arc::clone(&cache);
-                            scope.spawn(move || {
-                                let mut rng = 0x1234_5678_u64 ^ (t as u64) << 32;
-                                let mut sink = 0u64;
-                                for _ in 0..OPS {
-                                    let key = skewed(&mut rng, KEYS);
-                                    let v =
-                                        cache.get_or_build(&key, || build_value(key, 100, 1024));
-                                    sink = sink.wrapping_add(v[0] as u64);
-                                }
-                                std::hint::black_box(sink);
-                            });
-                        }
-                    });
-                    cache.stats().hits
-                });
-            },
-        );
-    }
-    group.finish();
-
-    // The write path: every op inserts a distinct key, so threads
-    // contend on the shard *write* lock (insert + publish) instead of
-    // the per-slot hit path. This is where the shard count earns its
-    // keep.
     const CHURN_OPS: usize = 4_000;
-    let mut group = c.benchmark_group("cache_shards_churn");
-    group.throughput(Throughput::Elements((THREADS * CHURN_OPS) as u64));
-    group.sample_size(10);
     for shards in [1usize, 4, 16, 64] {
-        group.bench_with_input(
-            BenchmarkId::new("distinct_inserts_8threads", shards),
-            &shards,
-            |b, &shards| {
-                b.iter(|| {
-                    let cache: Arc<ShardedCache<u64, Vec<u8>>> = Arc::new(
-                        ShardedCache::with_config(CacheConfig::unbounded().with_shards(shards)),
-                    );
-                    std::thread::scope(|scope| {
-                        for t in 0..THREADS {
-                            let cache = Arc::clone(&cache);
-                            scope.spawn(move || {
-                                let mut sink = 0u64;
-                                for op in 0..CHURN_OPS {
-                                    let key = (t * CHURN_OPS + op) as u64;
-                                    let v = cache.get_or_build(&key, || build_value(key, 0, 64));
-                                    sink = sink.wrapping_add(v[0] as u64);
-                                }
-                                std::hint::black_box(sink);
-                            });
-                        }
-                    });
-                    cache.stats().misses
-                });
-            },
-        );
+        let name = format!("cache_shards/skewed_hits_8threads/{shards}");
+        bench(&name, THREADS * OPS, || {
+            run_threads(CacheConfig::unbounded().with_shards(shards), |t, cache| {
+                let mut rng = 0x1234_5678_u64 ^ (t as u64) << 32;
+                let mut sink = 0u64;
+                for _ in 0..OPS {
+                    let key = skewed(&mut rng, KEYS);
+                    let v = cache.get_or_build(&key, || build_value(key, 100, 1024));
+                    sink = sink.wrapping_add(v[0] as u64);
+                }
+                std::hint::black_box(sink);
+            });
+        });
     }
-    group.finish();
+    for shards in [1usize, 4, 16, 64] {
+        let name = format!("cache_shards_churn/distinct_inserts_8threads/{shards}");
+        bench(&name, THREADS * CHURN_OPS, || {
+            run_threads(CacheConfig::unbounded().with_shards(shards), |t, cache| {
+                let mut sink = 0u64;
+                for op in 0..CHURN_OPS {
+                    let key = (t * CHURN_OPS + op) as u64;
+                    let v = cache.get_or_build(&key, || build_value(key, 0, 64));
+                    sink = sink.wrapping_add(v[0] as u64);
+                }
+                std::hint::black_box(sink);
+            });
+        });
+    }
 }
 
 /// Policy sweep under a budget: mostly-skewed cheap keys plus a
@@ -132,7 +130,7 @@ fn bench_shards(c: &mut Criterion) {
 /// LRU's recency horizon. Cost-aware keeps the expensive entries
 /// (high rebuild-cost per resident byte) and should win; LRU churns
 /// them out between touches and pays the rebuilds.
-fn bench_policies(c: &mut Criterion) {
+fn bench_policies() {
     const OPS: usize = 1_000;
     const CHEAP_KEYS: u64 = 192;
     const EXPENSIVE_KEYS: u64 = 32;
@@ -142,55 +140,42 @@ fn bench_policies(c: &mut Criterion) {
     const CHEAP_WORK: u64 = 1_000;
     const EXPENSIVE_WORK: u64 = 300_000;
 
-    let mut group = c.benchmark_group("cache_policies");
-    group.throughput(Throughput::Elements((THREADS * OPS) as u64));
-    group.sample_size(10);
-    for (name, policy) in [
+    let [lru, cost_aware] = [
         ("lru", EvictionPolicy::Lru),
         ("cost_aware", EvictionPolicy::CostAware),
-    ] {
-        group.bench_with_input(
-            BenchmarkId::new("budgeted_8threads", name),
-            &policy,
-            |b, &policy| {
-                b.iter(|| {
-                    let cache: Arc<ShardedCache<u64, Vec<u8>>> =
-                        Arc::new(ShardedCache::with_config(
-                            CacheConfig::budgeted(BUDGET).with_policy(policy),
-                        ));
-                    std::thread::scope(|scope| {
-                        for t in 0..THREADS {
-                            let cache = Arc::clone(&cache);
-                            scope.spawn(move || {
-                                let mut rng = 0x9e37_79b9_u64 ^ (t as u64) << 32;
-                                let mut sink = 0u64;
-                                for op in 0..OPS {
-                                    // Every 16th op revisits the
-                                    // expensive set round-robin; the
-                                    // rest draw skewed cheap keys.
-                                    let (key, work) = if op % 16 == 15 {
-                                        (
-                                            CHEAP_KEYS + (op as u64 / 16) % EXPENSIVE_KEYS,
-                                            EXPENSIVE_WORK,
-                                        )
-                                    } else {
-                                        (skewed(&mut rng, CHEAP_KEYS), CHEAP_WORK)
-                                    };
-                                    let v = cache
-                                        .get_or_build(&key, || build_value(key, work, VALUE_BYTES));
-                                    sink = sink.wrapping_add(v[0] as u64);
-                                }
-                                std::hint::black_box(sink);
-                            });
-                        }
-                    });
-                    cache.stats().evictions
-                });
-            },
-        );
-    }
-    group.finish();
+    ]
+    .map(|(name, policy)| {
+        let name = format!("cache_policies/budgeted_8threads/{name}");
+        bench(&name, THREADS * OPS, || {
+            let config = CacheConfig::budgeted(BUDGET).with_policy(policy);
+            run_threads(config, |t, cache| {
+                let mut rng = 0x9e37_79b9_u64 ^ (t as u64) << 32;
+                let mut sink = 0u64;
+                for op in 0..OPS {
+                    // Every 16th op revisits the expensive set
+                    // round-robin; the rest draw skewed cheap keys.
+                    let (key, work) = if op % 16 == 15 {
+                        (
+                            CHEAP_KEYS + (op as u64 / 16) % EXPENSIVE_KEYS,
+                            EXPENSIVE_WORK,
+                        )
+                    } else {
+                        (skewed(&mut rng, CHEAP_KEYS), CHEAP_WORK)
+                    };
+                    let v = cache.get_or_build(&key, || build_value(key, work, VALUE_BYTES));
+                    sink = sink.wrapping_add(v[0] as u64);
+                }
+                std::hint::black_box(sink);
+            });
+        })
+    });
+    println!(
+        "cost_aware/lru throughput: {:.2}x",
+        lru.as_secs_f64() / cost_aware.as_secs_f64()
+    );
 }
 
-criterion_group!(benches, bench_shards, bench_policies);
-criterion_main!(benches);
+fn main() {
+    bench_shards();
+    bench_policies();
+}

@@ -18,6 +18,7 @@
 use std::collections::VecDeque;
 
 use lgr_graph::{Csr, DegreeKind, Permutation, VertexId};
+use lgr_parallel::Pool;
 
 use crate::technique::ReorderingTechnique;
 
@@ -88,7 +89,7 @@ impl ReorderingTechnique for BfsOrder {
         "BFS-Order"
     }
 
-    fn reorder(&self, graph: &Csr, kind: DegreeKind) -> Permutation {
+    fn reorder_with(&self, graph: &Csr, kind: DegreeKind, _pool: &Pool) -> Permutation {
         let degrees = kind.degrees(graph);
         // Seed from hubs downward so big components come first.
         let mut seeds: Vec<VertexId> = (0..graph.num_vertices() as VertexId).collect();
@@ -127,7 +128,7 @@ impl ReorderingTechnique for CuthillMcKee {
         }
     }
 
-    fn reorder(&self, graph: &Csr, kind: DegreeKind) -> Permutation {
+    fn reorder_with(&self, graph: &Csr, kind: DegreeKind, _pool: &Pool) -> Permutation {
         let degrees = kind.degrees(graph);
         let mut seeds: Vec<VertexId> = (0..graph.num_vertices() as VertexId).collect();
         seeds.sort_unstable_by_key(|&v| degrees[v as usize]);

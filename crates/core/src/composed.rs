@@ -60,16 +60,6 @@ impl ReorderingTechnique for Pipeline {
         "Pipeline"
     }
 
-    fn reorder(&self, graph: &Csr, kind: DegreeKind) -> Permutation {
-        let mut perm = self.stages[0].reorder(graph, kind);
-        for stage in &self.stages[1..] {
-            let intermediate = graph.apply_permutation(&perm);
-            let next = stage.reorder(&intermediate, kind);
-            perm = perm.then(&next);
-        }
-        perm
-    }
-
     fn reorder_with(&self, graph: &Csr, kind: DegreeKind, pool: &Pool) -> Permutation {
         let mut perm = self.stages[0].reorder_with(graph, kind, pool);
         for stage in &self.stages[1..] {
@@ -121,7 +111,7 @@ mod tests {
         let p2 = Dbg::default().reorder_with(&mid, DegreeKind::Out, &pool);
         let pooled = pipeline.reorder_with(&g, DegreeKind::Out, &pool);
         assert_eq!(pooled, p1.then(&p2));
-        // ...which is also the sequential path's.
+        // ...which is also the calling-thread path's.
         assert_eq!(pooled, pipeline.reorder(&g, DegreeKind::Out));
     }
 

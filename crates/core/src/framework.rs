@@ -18,7 +18,7 @@ use std::error::Error;
 use std::fmt;
 
 use lgr_graph::{Permutation, VertexId};
-use lgr_parallel::{even_ranges, par_chunks_mut, stable_offsets, Pool};
+use lgr_parallel::{even_ranges, par_chunks_mut, stable_offsets, Pool, SyncSlice};
 
 /// Error returned for malformed group boundary specifications.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,20 +95,7 @@ impl GroupingSpec {
     /// Group index (0 = hottest) of a vertex with the given degree.
     #[inline]
     pub fn group_of(&self, degree: u32) -> usize {
-        // Binary search over descending bounds: first group whose lower
-        // bound <= degree. Specs are small (K <= ~10 for DBG) but Sort
-        // specs have thousands of groups, so log K matters.
-        let mut lo = 0usize;
-        let mut hi = self.lower_bounds.len() - 1;
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.lower_bounds[mid] <= degree {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        lo
+        group_in(&self.lower_bounds, degree)
     }
 
     /// **Sort** as a grouping (Table V row 1): one group per degree
@@ -148,7 +135,9 @@ impl GroupingSpec {
     /// **DBG** as a grouping (Table V row 4): geometric ranges
     /// `[32A, inf), [16A, 32A), ..., [A, 2A), [A/2, A), [0, A/2)` —
     /// the paper's 8-group configuration, generalized to
-    /// `num_hot_groups` doublings above the average.
+    /// `num_hot_groups` doublings above the average. A `u32` degree
+    /// axis holds at most 32 doublings, so any count above 32 gives the
+    /// spec of 32.
     ///
     /// # Panics
     ///
@@ -156,11 +145,11 @@ impl GroupingSpec {
     pub fn dbg(avg_degree: f64, num_hot_groups: u32) -> Self {
         assert!(num_hot_groups >= 1);
         let a = hot_threshold(avg_degree);
-        let mut bounds = Vec::with_capacity(num_hot_groups as usize + 2);
-        // Hot groups: [2^(k)A, 2^(k+1)A) for k = num_hot_groups-1 .. 0.
-        for k in (0..num_hot_groups).rev() {
-            let b = a.saturating_mul(1u32 << k.min(31));
-            bounds.push(b);
+        let hot = num_hot_groups.min(32);
+        let mut bounds = Vec::with_capacity(hot as usize + 2);
+        // Hot groups: [2^(k)A, 2^(k+1)A) for k = hot-1 .. 0.
+        for k in (0..hot).rev() {
+            bounds.push(a.saturating_mul(1u32 << k));
         }
         // Cold split at A/2, then the floor group.
         let half = a / 2;
@@ -178,6 +167,25 @@ impl GroupingSpec {
     }
 }
 
+/// [`GroupingSpec::group_of`] on the spec's bare lower bounds: a binary
+/// search for the first group whose lower bound is `<= degree`. Specs
+/// are small (K <= ~10 for DBG) but Sort specs have thousands of
+/// groups, so log K matters.
+#[inline]
+fn group_in(lower_bounds: &[u32], degree: u32) -> usize {
+    let mut lo = 0usize;
+    let mut hi = lower_bounds.len() - 1;
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if lower_bounds[mid] <= degree {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
+}
+
 /// The paper's hot threshold: a vertex is hot when its degree is at
 /// least the average degree (rounded up so "degree >= avg" holds for
 /// integer degrees).
@@ -185,60 +193,47 @@ pub fn hot_threshold(avg_degree: f64) -> u32 {
     avg_degree.ceil().max(1.0) as u32
 }
 
+/// The generalized DBG binning algorithm (paper Listing 1) on the
+/// calling thread: [`group_reorder_with`] on a pool of one.
+pub fn group_reorder(degrees: &[u32], spec: &GroupingSpec) -> Permutation {
+    group_reorder_with(degrees, spec, &Pool::new(1))
+}
+
 /// The generalized DBG binning algorithm (paper Listing 1): bins
 /// vertices by `spec`, preserving original relative order within each
 /// group, and lays groups out hottest-first.
 ///
-/// Runs in O(V + K): group sizes are counted, prefix-summed into group
-/// start offsets, and vertices are scattered stably.
-pub fn group_reorder(degrees: &[u32], spec: &GroupingSpec) -> Permutation {
-    let k = spec.num_groups();
-    // Pass 1: group of every vertex + group sizes.
-    let mut group_of = vec![0u32; degrees.len()];
-    let mut counts = vec![0usize; k];
-    for (v, &d) in degrees.iter().enumerate() {
-        let g = spec.group_of(d);
-        group_of[v] = g as u32;
-        counts[g] += 1;
-    }
-    // Pass 2: exclusive prefix sum = start offset of each group.
-    let mut offsets = vec![0usize; k];
-    let mut acc = 0usize;
-    for (g, &c) in counts.iter().enumerate() {
-        offsets[g] = acc;
-        acc += c;
-    }
-    // Pass 3: stable scatter.
-    let mut new_ids = vec![0 as VertexId; degrees.len()];
-    for (v, &g) in group_of.iter().enumerate() {
-        let slot = offsets[g as usize];
-        offsets[g as usize] += 1;
-        new_ids[v] = slot as VertexId;
-    }
-    Permutation::from_new_ids(new_ids).expect("stable scatter produces a bijection")
-}
-
-/// Pooled counterpart of [`group_reorder`]: per-worker group
-/// histograms merged by prefix sum in worker order, then a parallel
-/// stable scatter. Because every worker owns a contiguous vertex range
-/// and the merge preserves worker order within each group, the result
-/// is identical to the sequential binning for every pool size — the
-/// framework's stable-scatter guarantee holds unchanged.
+/// Runs in O(V + K) per worker: every vertex's group is looked up once,
+/// per-worker group histograms are merged by prefix sum in worker
+/// order, and vertices are scattered stably. Because every worker owns
+/// a contiguous vertex range and the merge preserves worker order
+/// within each group, the permutation is the same for every pool size.
 pub fn group_reorder_with(degrees: &[u32], spec: &GroupingSpec, pool: &Pool) -> Permutation {
-    if pool.threads() == 1 {
-        return group_reorder(degrees, spec);
-    }
     let ranges = even_ranges(degrees.len(), pool.threads());
-    let offsets = stable_offsets(pool, &ranges, spec.num_groups(), |v| {
-        spec.group_of(degrees[v])
-    });
+    let bounds = spec.lower_bounds();
+    // The counting pass records each vertex's group for the scatter,
+    // so the binary search runs once per vertex and its latency hides
+    // the histogram's. The raw write may alias anything behind a
+    // reference, so every lookup reloads its inputs: the `move`
+    // closure and the bare bounds keep them one load away.
+    let mut groups = vec![0u32; degrees.len()];
+    let offsets = {
+        let slots = SyncSlice::new(&mut groups);
+        stable_offsets(pool, &ranges, spec.num_groups(), move |v| {
+            let g = group_in(bounds, degrees[v]);
+            // SAFETY: `stable_offsets` calls this exactly once per
+            // vertex of each range, and `even_ranges` are disjoint, so
+            // no two calls write the same slot.
+            unsafe { slots.write(v, g as u32) };
+            g
+        })
+    };
     let mut new_ids = vec![0 as VertexId; degrees.len()];
     par_chunks_mut(pool, &mut new_ids, &ranges, |w, range, chunk| {
         let mut cursor = offsets.row(w).to_vec();
-        for (slot, v) in chunk.iter_mut().zip(range) {
-            let g = spec.group_of(degrees[v]);
-            *slot = cursor[g] as VertexId;
-            cursor[g] += 1;
+        for (slot, &g) in chunk.iter_mut().zip(&groups[range]) {
+            *slot = cursor[g as usize] as VertexId;
+            cursor[g as usize] += 1;
         }
     });
     Permutation::from_new_ids(new_ids).expect("stable scatter produces a bijection")
@@ -297,6 +292,18 @@ mod tests {
         let spec = GroupingSpec::dbg(1.0, 6);
         assert_eq!(*spec.lower_bounds().last().unwrap(), 0);
         assert!(spec.lower_bounds().windows(2).all(|w| w[0] > w[1]));
+    }
+
+    #[test]
+    fn dbg_spec_caps_hot_groups_at_32_doublings() {
+        for avg in [0.0, 1.0, 2.5, 20.0, 1e6, 4e9] {
+            assert_eq!(
+                GroupingSpec::dbg(avg, u32::MAX),
+                GroupingSpec::dbg(avg, 32),
+                "avg {avg}"
+            );
+            assert_eq!(GroupingSpec::dbg(avg, 33), GroupingSpec::dbg(avg, 32));
+        }
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! note carry little locality signal.
 
 use lgr_graph::{Csr, DegreeKind, Permutation, VertexId};
+use lgr_parallel::Pool;
 
 use crate::technique::ReorderingTechnique;
 
@@ -146,7 +147,7 @@ impl ReorderingTechnique for Gorder {
         "Gorder"
     }
 
-    fn reorder(&self, graph: &Csr, _kind: DegreeKind) -> Permutation {
+    fn reorder_with(&self, graph: &Csr, _kind: DegreeKind, _pool: &Pool) -> Permutation {
         let n = graph.num_vertices();
         if n == 0 {
             return Permutation::identity(0);

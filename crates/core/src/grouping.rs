@@ -4,7 +4,7 @@
 use lgr_graph::{Csr, DegreeKind, Permutation};
 use lgr_parallel::Pool;
 
-use crate::framework::{group_reorder, group_reorder_with, GroupingSpec};
+use crate::framework::{group_reorder_with, GroupingSpec};
 use crate::technique::ReorderingTechnique;
 
 fn max_degree(degrees: &[u32]) -> u32 {
@@ -13,6 +13,19 @@ fn max_degree(degrees: &[u32]) -> u32 {
 
 fn avg_degree(degrees: &[u32]) -> f64 {
     lgr_graph::average_degree(degrees)
+}
+
+/// The one body of every framework technique: degrees on the pool,
+/// then the technique's spec for them, then stable binning.
+fn bin_by_degree(
+    graph: &Csr,
+    kind: DegreeKind,
+    pool: &Pool,
+    spec_for: impl FnOnce(&[u32]) -> GroupingSpec,
+) -> Permutation {
+    let degrees = kind.degrees_with(graph, pool);
+    let spec = spec_for(&degrees);
+    group_reorder_with(&degrees, &spec, pool)
 }
 
 /// **Sort**: relabels vertices in descending order of degree.
@@ -48,16 +61,8 @@ impl ReorderingTechnique for Sort {
         "Sort"
     }
 
-    fn reorder(&self, graph: &Csr, kind: DegreeKind) -> Permutation {
-        let degrees = kind.degrees(graph);
-        let spec = GroupingSpec::sort(max_degree(&degrees));
-        group_reorder(&degrees, &spec)
-    }
-
     fn reorder_with(&self, graph: &Csr, kind: DegreeKind, pool: &Pool) -> Permutation {
-        let degrees = kind.degrees_with(graph, pool);
-        let spec = GroupingSpec::sort(max_degree(&degrees));
-        group_reorder_with(&degrees, &spec, pool)
+        bin_by_degree(graph, kind, pool, |d| GroupingSpec::sort(max_degree(d)))
     }
 }
 
@@ -83,16 +88,10 @@ impl ReorderingTechnique for HubSort {
         "HubSort"
     }
 
-    fn reorder(&self, graph: &Csr, kind: DegreeKind) -> Permutation {
-        let degrees = kind.degrees(graph);
-        let spec = GroupingSpec::hub_sorting(avg_degree(&degrees), max_degree(&degrees));
-        group_reorder(&degrees, &spec)
-    }
-
     fn reorder_with(&self, graph: &Csr, kind: DegreeKind, pool: &Pool) -> Permutation {
-        let degrees = kind.degrees_with(graph, pool);
-        let spec = GroupingSpec::hub_sorting(avg_degree(&degrees), max_degree(&degrees));
-        group_reorder_with(&degrees, &spec, pool)
+        bin_by_degree(graph, kind, pool, |d| {
+            GroupingSpec::hub_sorting(avg_degree(d), max_degree(d))
+        })
     }
 }
 
@@ -114,16 +113,10 @@ impl ReorderingTechnique for HubCluster {
         "HubCluster"
     }
 
-    fn reorder(&self, graph: &Csr, kind: DegreeKind) -> Permutation {
-        let degrees = kind.degrees(graph);
-        let spec = GroupingSpec::hub_clustering(avg_degree(&degrees));
-        group_reorder(&degrees, &spec)
-    }
-
     fn reorder_with(&self, graph: &Csr, kind: DegreeKind, pool: &Pool) -> Permutation {
-        let degrees = kind.degrees_with(graph, pool);
-        let spec = GroupingSpec::hub_clustering(avg_degree(&degrees));
-        group_reorder_with(&degrees, &spec, pool)
+        bin_by_degree(graph, kind, pool, |d| {
+            GroupingSpec::hub_clustering(avg_degree(d))
+        })
     }
 }
 
@@ -194,16 +187,8 @@ impl ReorderingTechnique for Dbg {
         "DBG"
     }
 
-    fn reorder(&self, graph: &Csr, kind: DegreeKind) -> Permutation {
-        let degrees = kind.degrees(graph);
-        let spec = self.spec_for(avg_degree(&degrees));
-        group_reorder(&degrees, &spec)
-    }
-
     fn reorder_with(&self, graph: &Csr, kind: DegreeKind, pool: &Pool) -> Permutation {
-        let degrees = kind.degrees_with(graph, pool);
-        let spec = self.spec_for(avg_degree(&degrees));
-        group_reorder_with(&degrees, &spec, pool)
+        bin_by_degree(graph, kind, pool, |d| self.spec_for(avg_degree(d)))
     }
 }
 
@@ -234,7 +219,7 @@ impl ReorderingTechnique for HubSortOriginal {
         "HubSort-O"
     }
 
-    fn reorder(&self, graph: &Csr, _kind: DegreeKind) -> Permutation {
+    fn reorder_with(&self, graph: &Csr, _kind: DegreeKind, _pool: &Pool) -> Permutation {
         let degrees = DegreeKind::Out.degrees(graph);
         let avg = avg_degree(&degrees);
         let threshold = crate::framework::hot_threshold(avg);
@@ -288,7 +273,7 @@ impl ReorderingTechnique for HubClusterOriginal {
         "HubCluster-O"
     }
 
-    fn reorder(&self, graph: &Csr, _kind: DegreeKind) -> Permutation {
+    fn reorder_with(&self, graph: &Csr, _kind: DegreeKind, _pool: &Pool) -> Permutation {
         let degrees = DegreeKind::Out.degrees(graph);
         let avg = avg_degree(&degrees);
         let threshold = crate::framework::hot_threshold(avg);
@@ -467,6 +452,7 @@ mod tests {
                 &HubSort::new(),
                 &HubCluster::new(),
                 &Dbg::default(),
+                &Dbg::with_hot_groups(u32::MAX),
             ] {
                 let p = t.reorder(&g, DegreeKind::Out);
                 assert_eq!(p.len(), n, "{} on n={n}", t.name());

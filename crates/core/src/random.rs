@@ -12,6 +12,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use lgr_graph::{Csr, DegreeKind, Permutation, VertexId, CACHE_BLOCK_BYTES};
+use lgr_parallel::Pool;
 
 use crate::technique::ReorderingTechnique;
 
@@ -33,7 +34,7 @@ impl ReorderingTechnique for RandomVertex {
         "RV"
     }
 
-    fn reorder(&self, graph: &Csr, _kind: DegreeKind) -> Permutation {
+    fn reorder_with(&self, graph: &Csr, _kind: DegreeKind, _pool: &Pool) -> Permutation {
         let mut rng = SmallRng::seed_from_u64(self.seed);
         let mut ids: Vec<VertexId> = (0..graph.num_vertices() as VertexId).collect();
         ids.shuffle(&mut rng);
@@ -97,7 +98,7 @@ impl ReorderingTechnique for RandomCacheBlock {
         }
     }
 
-    fn reorder(&self, graph: &Csr, _kind: DegreeKind) -> Permutation {
+    fn reorder_with(&self, graph: &Csr, _kind: DegreeKind, _pool: &Pool) -> Permutation {
         let n = graph.num_vertices();
         let g = self.granularity();
         let num_chunks = n.div_ceil(g.max(1));

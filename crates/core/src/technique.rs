@@ -10,28 +10,33 @@ use lgr_parallel::Pool;
 /// A technique inspects a graph and produces a [`Permutation`] mapping
 /// original vertex IDs to new IDs. Reordering never changes the graph
 /// itself — only where each vertex's data lives in memory.
+///
+/// Implementations write one body,
+/// [`reorder_with`](ReorderingTechnique::reorder_with);
+/// [`reorder`](ReorderingTechnique::reorder) runs it on a pool of one.
 pub trait ReorderingTechnique {
     /// Short display name ("DBG", "Sort", ...), used in reports.
     fn name(&self) -> &'static str;
 
-    /// Computes the relabeling for `graph`.
+    /// Computes the relabeling for `graph` on `pool`.
     ///
     /// `kind` selects which degree drives hot/cold decisions; the
     /// paper's methodology picks it per application (Table VIII:
     /// out-degree for pull-dominated apps, in-degree for push-dominated
     /// ones). Techniques that don't use degrees may ignore it.
-    fn reorder(&self, graph: &Csr, kind: DegreeKind) -> Permutation;
-
-    /// Pooled counterpart of [`ReorderingTechnique::reorder`].
     ///
-    /// Techniques built on the grouping framework override this to run
-    /// degree extraction and stable binning on the pool; the default
-    /// falls back to the sequential path (inherently sequential
-    /// techniques like Gorder stay correct unchanged). Implementations
-    /// must return exactly the permutation `reorder` would: the pool
-    /// only changes *how fast* a relabeling is computed, never *which*.
-    fn reorder_with(&self, graph: &Csr, kind: DegreeKind, _pool: &Pool) -> Permutation {
-        self.reorder(graph, kind)
+    /// Techniques built on the grouping framework run degree
+    /// extraction and stable binning on the pool; inherently
+    /// sequential ones (Gorder, BFS, RCM, the random probes) ignore it.
+    /// Every implementation must return the same permutation for every
+    /// pool size: the pool only changes *how fast* a relabeling is
+    /// computed, never *which*.
+    fn reorder_with(&self, graph: &Csr, kind: DegreeKind, pool: &Pool) -> Permutation;
+
+    /// [`ReorderingTechnique::reorder_with`] on a pool of one: the same
+    /// code, inline on the calling thread.
+    fn reorder(&self, graph: &Csr, kind: DegreeKind) -> Permutation {
+        self.reorder_with(graph, kind, &Pool::new(1))
     }
 }
 
@@ -44,7 +49,7 @@ impl ReorderingTechnique for Identity {
         "Original"
     }
 
-    fn reorder(&self, graph: &Csr, _kind: DegreeKind) -> Permutation {
+    fn reorder_with(&self, graph: &Csr, _kind: DegreeKind, _pool: &Pool) -> Permutation {
         Permutation::identity(graph.num_vertices())
     }
 }

@@ -2,11 +2,17 @@
 
 use proptest::prelude::*;
 
-use lgr_core::framework::{group_reorder, GroupingSpec};
+use lgr_core::framework::{group_reorder, group_reorder_with, GroupingSpec};
 use lgr_core::{
-    Dbg, HubCluster, HubClusterOriginal, HubSort, HubSortOriginal, ReorderingTechnique, Sort,
+    BfsOrder, CuthillMcKee, Dbg, Gorder, HubCluster, HubClusterOriginal, HubSort, HubSortOriginal,
+    Identity, Pipeline, RandomCacheBlock, RandomVertex, ReorderingTechnique, Sort,
 };
-use lgr_graph::{average_degree, Csr, DegreeKind, EdgeList};
+use lgr_graph::{average_degree, Csr, DegreeKind, EdgeList, Permutation, VertexId};
+use lgr_parallel::Pool;
+
+/// Pool sizes every pooled path is checked at (1 = inline on the
+/// caller).
+const THREADS: [usize; 4] = [1, 2, 3, 8];
 
 fn arb_graph() -> impl Strategy<Value = Csr> {
     (2usize..50).prop_flat_map(|n| {
@@ -139,9 +145,9 @@ proptest! {
         }
     }
 
-    /// Pooled binning is identical to sequential binning for arbitrary
-    /// degree vectors, specs, and thread counts — the stable-scatter
-    /// guarantee is thread-count independent.
+    /// Pooled binning equals an independent reference — a stable
+    /// `sort_by_key` on each vertex's group — for arbitrary degree
+    /// vectors, specs, and thread counts.
     #[test]
     fn parallel_group_reorder_matches_sequential(
         degrees in proptest::collection::vec(0u32..100, 0..200),
@@ -151,19 +157,23 @@ proptest! {
         bounds.dedup();
         bounds.push(0);
         let spec = GroupingSpec::new(bounds).unwrap();
-        let seq = group_reorder(&degrees, &spec);
-        for threads in [1usize, 2, 3, 8] {
-            let pool = lgr_parallel::Pool::new(threads);
-            let par = lgr_core::framework::group_reorder_with(&degrees, &spec, &pool);
-            prop_assert_eq!(&par, &seq, "threads = {}", threads);
+        let mut order: Vec<VertexId> = (0..degrees.len() as VertexId).collect();
+        order.sort_by_key(|&v| spec.group_of(degrees[v as usize]));
+        let reference = Permutation::from_order(&order).unwrap();
+        prop_assert_eq!(&group_reorder(&degrees, &spec), &reference);
+        for threads in THREADS {
+            let pool = Pool::new(threads);
+            let par = group_reorder_with(&degrees, &spec, &pool);
+            prop_assert_eq!(&par, &reference, "threads = {}", threads);
         }
     }
 
-    /// Pooled technique dispatch returns exactly the sequential
-    /// permutation for every framework technique.
+    /// Every technique returns the same permutation at every pool size
+    /// as on the calling thread.
     #[test]
     fn reorder_with_matches_reorder(g in arb_graph()) {
-        let pool = lgr_parallel::Pool::new(4);
+        let gorder_then_dbg = Pipeline::new(vec![Box::new(Gorder::new()), Box::new(Dbg::default())]);
+        let pools = THREADS.map(Pool::new);
         for kind in [DegreeKind::Out, DegreeKind::In] {
             for t in [
                 &Sort::new() as &dyn ReorderingTechnique,
@@ -172,10 +182,19 @@ proptest! {
                 &Dbg::default(),
                 &HubSortOriginal::new(),
                 &HubClusterOriginal::new(),
+                &Gorder::new(),
+                &RandomVertex::new(7),
+                &RandomCacheBlock::new(2, 7),
+                &Identity,
+                &BfsOrder::new(),
+                &CuthillMcKee::reversed(),
+                &gorder_then_dbg,
             ] {
                 let seq = t.reorder(&g, kind);
-                let par = t.reorder_with(&g, kind, &pool);
-                prop_assert_eq!(&par, &seq, "{} mismatch", t.name());
+                for pool in &pools {
+                    let par = t.reorder_with(&g, kind, pool);
+                    prop_assert_eq!(&par, &seq, "{} mismatch, threads = {}", t.name(), pool.threads());
+                }
             }
         }
     }

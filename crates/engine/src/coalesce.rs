@@ -81,8 +81,9 @@ pub enum EvictionPolicy {
     /// to re-create it is not. This is the default: in the `cache`
     /// benchmark's budgeted scan-resistant workload (hot cheap keys
     /// churning past a periodically re-touched expensive set) it
-    /// sustains 3.2–3.8x LRU's op throughput by keeping the
-    /// expensive entries resident, and rebuild costs in graph
+    /// sustains 2–4x LRU's op throughput by keeping the expensive
+    /// entries resident (3.2–3.8x when this default was chosen,
+    /// 2.1–2.6x on a 2-vCPU KVM host), and rebuild costs in graph
     /// workloads *are* that skewed — see the paper's amortization
     /// argument for reordering cost vs reuse.
     #[default]

@@ -191,7 +191,12 @@ mod tests {
                 fn name(&self) -> &'static str {
                     "Rev"
                 }
-                fn reorder(&self, graph: &Csr, _kind: DegreeKind) -> lgr_graph::Permutation {
+                fn reorder_with(
+                    &self,
+                    graph: &Csr,
+                    _kind: DegreeKind,
+                    _pool: &lgr_parallel::Pool,
+                ) -> lgr_graph::Permutation {
                     let n = graph.num_vertices() as u32;
                     lgr_graph::Permutation::from_new_ids((0..n).rev().collect())
                         .expect("reversal is a bijection")

@@ -10,6 +10,7 @@ use std::sync::{Arc, Barrier};
 use lgr_core::{Dbg, ReorderingTechnique};
 use lgr_engine::{Job, Session, SessionConfig, TechniqueRegistry, DEFAULT_DBG_HOT_GROUPS};
 use lgr_graph::{Csr, DegreeKind, EdgeList, Permutation};
+use lgr_parallel::Pool;
 
 const THREADS: usize = 8;
 
@@ -32,7 +33,7 @@ fn counting_session() -> (Session, Arc<AtomicUsize>, Arc<AtomicUsize>) {
                 fn name(&self) -> &'static str {
                     "Counted"
                 }
-                fn reorder(&self, graph: &Csr, kind: DegreeKind) -> Permutation {
+                fn reorder_with(&self, graph: &Csr, kind: DegreeKind, _pool: &Pool) -> Permutation {
                     self.0.fetch_add(1, Ordering::SeqCst);
                     Dbg::with_hot_groups(DEFAULT_DBG_HOT_GROUPS).reorder(graph, kind)
                 }

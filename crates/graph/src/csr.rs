@@ -12,8 +12,8 @@ use crate::{EdgeList, Permutation, VertexId, Weight};
 /// Canonicalizes one vertex's neighbor list: ascending neighbor IDs,
 /// weights moving with their edges. Equal `(neighbor, weight)` pairs
 /// make the result independent of the input order, which is what lets
-/// the parallel construction paths produce CSRs structurally equal
-/// (`==`) to the sequential ones.
+/// every pool size produce structurally equal (`==`) CSRs, and two
+/// edge lists describing the same multigraph build identical ones.
 ///
 /// `scratch` holds the transient `(neighbor, weight)` pairs of the
 /// weighted path; callers keep one buffer per worker and reuse it
@@ -88,61 +88,11 @@ struct Adjacency {
 }
 
 impl Adjacency {
-    /// Builds the adjacency from `(owner, neighbor, weight)` triples via
-    /// counting sort — O(V + E), the same prefix-sum construction a graph
-    /// framework would use.
-    fn build(
-        num_vertices: usize,
-        edges: &[(VertexId, VertexId)],
-        weights: Option<&[Weight]>,
-        owner_is_src: bool,
-    ) -> Self {
-        let mut counts = vec![0usize; num_vertices + 1];
-        for &(u, v) in edges {
-            let owner = if owner_is_src { u } else { v };
-            counts[owner as usize + 1] += 1;
-        }
-        for i in 0..num_vertices {
-            counts[i + 1] += counts[i];
-        }
-        let index = counts.clone();
-        let mut cursor = counts;
-        let mut neighbors = vec![0 as VertexId; edges.len()];
-        let mut out_weights = weights.map(|_| vec![0 as Weight; edges.len()]);
-        for (i, &(u, v)) in edges.iter().enumerate() {
-            let (owner, other) = if owner_is_src { (u, v) } else { (v, u) };
-            let slot = cursor[owner as usize];
-            cursor[owner as usize] += 1;
-            neighbors[slot] = other;
-            if let (Some(ws), Some(out)) = (weights, out_weights.as_mut()) {
-                out[slot] = ws[i];
-            }
-        }
-        // Canonicalize: sort each vertex's neighbor list (weights move
-        // with their edges). This makes CSR equality structural — two
-        // edge lists describing the same multigraph build identical
-        // CSRs — and gives the ascending-ID edge order real datasets
-        // ship with.
-        let mut scratch = Vec::new();
-        for v in 0..num_vertices {
-            let range = index[v]..index[v + 1];
-            sort_adjacent(
-                &mut neighbors[range.clone()],
-                out_weights.as_mut().map(|ws| &mut ws[range.clone()]),
-                &mut scratch,
-            );
-        }
-        Adjacency {
-            index,
-            neighbors,
-            weights: out_weights,
-        }
-    }
-
-    /// Pooled counterpart of [`Adjacency::build`]: parallel per-worker
-    /// counting, a stable prefix-sum merge, a parallel scatter, and
-    /// edge-balanced parallel per-vertex neighbor sorting. Produces a
-    /// structure identical (`==`) to the sequential build.
+    /// Builds the adjacency from `(owner, neighbor, weight)` triples by
+    /// counting sort, O(V + E): per-worker counting, a stable
+    /// prefix-sum merge, a scatter, and edge-balanced per-vertex
+    /// neighbor sorting. The result is the same (`==`) for every pool
+    /// size.
     ///
     /// `ranges` partitions the edge array, one contiguous range per
     /// pool worker.
@@ -172,12 +122,16 @@ impl Adjacency {
                 // Counting ranges may be fewer than pool workers (the
                 // histogram cap in `from_edge_list_with`); surplus
                 // workers sit this pass out.
-                if w >= ranges.len() {
+                let Some(range) = ranges.get(w).cloned() else {
                     return;
-                }
+                };
+                // Locals, not captures: the raw writes below may alias
+                // anything behind a captured reference, so captures
+                // would be reloaded for every edge.
+                let (nb, wt, owner_is_src) = (nb, wt, owner_is_src);
+                let ws = weights.map(|ws| &ws[range.clone()]);
                 let mut cursor = offs.row(w).to_vec();
-                for i in ranges[w].clone() {
-                    let (u, v) = edges[i];
+                for (k, &(u, v)) in edges[range].iter().enumerate() {
                     let (owner, other) = if owner_is_src { (u, v) } else { (v, u) };
                     let slot = cursor[owner as usize];
                     cursor[owner as usize] += 1;
@@ -185,10 +139,10 @@ impl Adjacency {
                     // edge) pair a distinct slot, so writes are
                     // disjoint across workers.
                     unsafe { nb.write(slot, other) };
-                    if let (Some(ws), Some(wt)) = (weights, wt) {
+                    if let (Some(ws), Some(wt)) = (ws, wt) {
                         // SAFETY: same disjoint-slot argument as the
                         // neighbor write above.
-                        unsafe { wt.write(slot, ws[i]) };
+                        unsafe { wt.write(slot, ws[k]) };
                     }
                 }
             });
@@ -223,45 +177,9 @@ impl Adjacency {
 
     /// Relabels this adjacency under `perm` directly, CSR-to-CSR: new
     /// vertex `nv`'s list is original vertex `inv[nv]`'s list with
-    /// every neighbor relabeled, then canonically sorted. No
-    /// intermediate edge list is materialized.
-    fn permute(&self, perm: &Permutation, inv: &[VertexId]) -> Self {
-        let n = inv.len();
-        let mut index = vec![0usize; n + 1];
-        for nv in 0..n {
-            index[nv + 1] = index[nv] + self.degree(inv[nv]) as usize;
-        }
-        let mut neighbors = vec![0 as VertexId; self.neighbors.len()];
-        let mut weights = self
-            .weights
-            .as_ref()
-            .map(|_| vec![0 as Weight; self.neighbors.len()]);
-        let mut scratch = Vec::new();
-        for nv in 0..n {
-            let src = self.range(inv[nv]);
-            let dst = index[nv]..index[nv + 1];
-            for (d, s) in dst.clone().zip(src.clone()) {
-                neighbors[d] = perm.new_id(self.neighbors[s]);
-            }
-            if let (Some(src_w), Some(dst_w)) = (self.weights.as_ref(), weights.as_mut()) {
-                dst_w[dst.clone()].copy_from_slice(&src_w[src]);
-            }
-            sort_adjacent(
-                &mut neighbors[dst.clone()],
-                weights.as_mut().map(|ws| &mut ws[dst.clone()]),
-                &mut scratch,
-            );
-        }
-        Adjacency {
-            index,
-            neighbors,
-            weights,
-        }
-    }
-
-    /// Pooled counterpart of [`Adjacency::permute`]. The new index is
-    /// built with a two-level parallel prefix sum; relabeling and
-    /// canonical sorting are divided by edge mass.
+    /// every neighbor relabeled, then canonically sorted. The new index
+    /// is built with a two-level prefix sum; relabeling and sorting are
+    /// divided by edge mass.
     fn permute_with(&self, perm: &Permutation, inv: &[VertexId], pool: &Pool) -> Self {
         let n = inv.len();
         let vranges = even_ranges(n, pool.threads());
@@ -305,6 +223,10 @@ impl Adjacency {
             let nb = SyncSlice::new(&mut neighbors);
             let wt = weights.as_mut().map(|w| SyncSlice::new(w));
             pool.broadcast(|w| {
+                // A local, not a capture, for the same reason as the
+                // build's scatter: the relabel loop writes through raw
+                // slices.
+                let new_ids = perm.new_ids();
                 let mut scratch = Vec::new();
                 for nv in eranges[w].clone() {
                     let src = self.range(inv[nv]);
@@ -313,8 +235,8 @@ impl Adjacency {
                     // vertices are disjoint, and each worker owns a
                     // distinct new-vertex range.
                     let out = unsafe { nb.slice_mut(dst.clone()) };
-                    for (slot, s) in out.iter_mut().zip(src.clone()) {
-                        *slot = perm.new_id(self.neighbors[s]);
+                    for (slot, &u) in out.iter_mut().zip(&self.neighbors[src.clone()]) {
+                        *slot = new_ids[u as usize];
                     }
                     let out_w = match (self.weights.as_ref(), wt) {
                         (Some(src_w), Some(wt)) => {
@@ -379,27 +301,20 @@ pub struct Csr {
 }
 
 impl Csr {
-    /// Builds a CSR graph from an edge list. O(V + E).
+    /// Builds a CSR graph from an edge list on the calling thread:
+    /// [`Csr::from_edge_list_with`] on a pool of one. O(V + E).
     pub fn from_edge_list(el: &EdgeList) -> Self {
-        let n = el.num_vertices();
-        let edges = el.edges();
-        let weights = el.weights();
-        Csr {
-            num_vertices: n,
-            num_edges: edges.len(),
-            out: Adjacency::build(n, edges, weights, true),
-            inn: Adjacency::build(n, edges, weights, false),
-        }
+        Self::from_edge_list_with(el, &Pool::new(1))
     }
 
     /// Builds a CSR graph from an edge list using the worker pool:
-    /// out- and in-adjacencies are assembled by parallel counting
-    /// sort (per-worker histograms merged by prefix sum, parallel
-    /// scatter, edge-balanced parallel neighbor sorting).
+    /// out- and in-adjacencies are assembled by counting sort
+    /// (per-worker histograms merged by prefix sum, scatter,
+    /// edge-balanced neighbor sorting). Each vertex's neighbors come
+    /// out in ascending `(neighbor, weight)` order.
     ///
-    /// The result is structurally identical (`==`) to
-    /// [`Csr::from_edge_list`] for every pool size; a single-worker
-    /// pool falls back to the sequential path.
+    /// The result is structurally identical (`==`) for every pool
+    /// size; a pool of one runs the same code inline.
     ///
     /// # Example
     ///
@@ -414,9 +329,6 @@ impl Csr {
     /// assert_eq!(Csr::from_edge_list_with(&el, &pool), Csr::from_edge_list(&el));
     /// ```
     pub fn from_edge_list_with(el: &EdgeList, pool: &Pool) -> Self {
-        if pool.threads() == 1 {
-            return Self::from_edge_list(el);
-        }
         let n = el.num_vertices();
         let edges = el.edges();
         let weights = el.weights();
@@ -571,40 +483,28 @@ impl Csr {
     /// data lives at slot `perm.new_id(v)` of every array. The graph
     /// itself (as a set of weighted edges) is unchanged.
     ///
-    /// The relabeling scatters CSR-to-CSR directly — no intermediate
-    /// [`EdgeList`] is materialized and no counting sort is repeated —
-    /// but the result is structurally identical (`==`) to rebuilding
-    /// from the relabeled edge list.
+    /// Runs [`Csr::apply_permutation_with`] on a pool of one.
     ///
     /// # Panics
     ///
     /// Panics if the permutation length differs from the vertex count.
     pub fn apply_permutation(&self, perm: &Permutation) -> Csr {
-        assert_eq!(perm.len(), self.num_vertices, "permutation length mismatch");
-        let inv = perm.inverse();
-        Csr {
-            num_vertices: self.num_vertices,
-            num_edges: self.num_edges,
-            out: self.out.permute(perm, &inv),
-            inn: self.inn.permute(perm, &inv),
-        }
+        self.apply_permutation_with(perm, &Pool::new(1))
     }
 
-    /// Pooled counterpart of [`Csr::apply_permutation`]: the direct
-    /// CSR-to-CSR relabel/scatter with index construction, neighbor
-    /// relabeling, and canonical sorting divided across the pool's
-    /// workers (edge-balanced). Structurally identical (`==`) results
-    /// for every pool size; a single-worker pool falls back to the
-    /// sequential path.
+    /// [`Csr::apply_permutation`] on the worker pool. The relabeling
+    /// scatters CSR-to-CSR directly — no intermediate [`EdgeList`] is
+    /// materialized and no counting sort is repeated — with index
+    /// construction, neighbor relabeling, and canonical sorting divided
+    /// across the pool's workers (edge-balanced). The result is
+    /// structurally identical (`==`) to rebuilding from the relabeled
+    /// edge list, for every pool size.
     ///
     /// # Panics
     ///
     /// Panics if the permutation length differs from the vertex count.
     pub fn apply_permutation_with(&self, perm: &Permutation, pool: &Pool) -> Csr {
         assert_eq!(perm.len(), self.num_vertices, "permutation length mismatch");
-        if pool.threads() == 1 {
-            return self.apply_permutation(perm);
-        }
         let inv = perm.inverse();
         Csr {
             num_vertices: self.num_vertices,

@@ -7,9 +7,11 @@
 //! reordering; the hot/cold threshold is the dataset's average degree
 //! unless stated otherwise, exactly as in the paper.
 
-use lgr_parallel::{par_fill, Pool};
+use std::ops::Range;
 
-use crate::{Csr, VertexId};
+use lgr_parallel::{even_ranges, par_chunks_mut, Pool};
+
+use crate::Csr;
 
 /// Which degree of a vertex a reordering technique should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -24,37 +26,41 @@ pub enum DegreeKind {
 }
 
 impl DegreeKind {
-    /// Extracts the selected degree for every vertex of `graph`.
+    /// Extracts the selected degree for every vertex of `graph`:
+    /// [`DegreeKind::degrees_with`] on a pool of one.
     pub fn degrees(self, graph: &Csr) -> Vec<u32> {
-        match self {
-            DegreeKind::In => graph.in_degrees(),
-            DegreeKind::Out => graph.out_degrees(),
-            DegreeKind::Both => {
-                let mut d = graph.in_degrees();
-                for (v, dv) in d.iter_mut().enumerate() {
-                    *dv += graph.out_degree(v as VertexId);
-                }
-                d
-            }
-        }
+        self.degrees_with(graph, &Pool::new(1))
     }
 
-    /// Pooled counterpart of [`DegreeKind::degrees`]: extracts the
-    /// selected degree of every vertex in parallel. Identical output
-    /// for every pool size (degree reads are pure).
+    /// Extracts the selected degree of every vertex on the pool. The
+    /// output is the same for every pool size (degree reads are pure).
     pub fn degrees_with(self, graph: &Csr, pool: &Pool) -> Vec<u32> {
-        if pool.threads() == 1 {
-            return self.degrees(graph);
-        }
+        let (ins, outs) = (graph.in_offsets(), graph.out_offsets());
         let mut d = vec![0u32; graph.num_vertices()];
-        match self {
-            DegreeKind::In => par_fill(pool, &mut d, |v| graph.in_degree(v as VertexId)),
-            DegreeKind::Out => par_fill(pool, &mut d, |v| graph.out_degree(v as VertexId)),
-            DegreeKind::Both => par_fill(pool, &mut d, |v| {
-                graph.in_degree(v as VertexId) + graph.out_degree(v as VertexId)
-            }),
-        }
+        let ranges = even_ranges(d.len(), pool.threads());
+        par_chunks_mut(pool, &mut d, &ranges, |_, range, chunk| match self {
+            DegreeKind::In => fill(chunk, offset_gaps(ins, range)),
+            DegreeKind::Out => fill(chunk, offset_gaps(outs, range)),
+            DegreeKind::Both => {
+                let both = offset_gaps(ins, range.clone()).zip(offset_gaps(outs, range));
+                fill(chunk, both.map(|(i, o)| i + o));
+            }
+        });
         d
+    }
+}
+
+/// The degrees of the vertices in `range`: gaps between adjacent CSR
+/// offsets, read as windows so the walk needs no bounds checks.
+fn offset_gaps(offsets: &[usize], range: Range<usize>) -> impl Iterator<Item = u32> + '_ {
+    offsets[range.start..=range.end]
+        .windows(2)
+        .map(|w| (w[1] - w[0]) as u32)
+}
+
+fn fill(chunk: &mut [u32], values: impl Iterator<Item = u32>) {
+    for (slot, v) in chunk.iter_mut().zip(values) {
+        *slot = v;
     }
 }
 

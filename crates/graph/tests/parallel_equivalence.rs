@@ -1,16 +1,63 @@
 //! Structural-equality properties for the pooled construction paths:
-//! parallel CSR build, direct permutation apply, and parallel degree
-//! extraction must be `==` to their sequential counterparts for every
-//! thread count, including weighted, self-loop, and parallel-edge
-//! graphs.
+//! CSR build, direct permutation apply, and degree extraction must
+//! equal an independent reference for every thread count, including
+//! weighted, self-loop, and parallel-edge graphs. The reference CSR
+//! sorts `(owner, neighbour, weight)` triples and counts the index;
+//! the reference degrees count the edge list.
 
 use proptest::prelude::*;
 
-use lgr_graph::{gen, Csr, DegreeKind, EdgeList};
+use lgr_graph::{gen, Csr, DegreeKind, EdgeList, VertexId, Weight};
 use lgr_parallel::Pool;
 
-/// Thread counts exercised per case (1 = the sequential fallback).
+/// Thread counts exercised per case (1 = inline on the caller).
 const THREADS: [usize; 4] = [1, 2, 3, 8];
+
+/// One direction of the reference CSR: the edge list's
+/// `(owner, neighbour, weight)` triples sorted, with the index counted
+/// from the owners. Unweighted triples carry weight 0.
+fn reference_direction(
+    el: &EdgeList,
+    owner_is_src: bool,
+) -> (Vec<usize>, Vec<VertexId>, Option<Vec<Weight>>) {
+    let mut triples: Vec<(VertexId, VertexId, Weight)> = el
+        .edges()
+        .iter()
+        .enumerate()
+        .map(|(i, &(u, v))| {
+            let w = el.weights().map_or(0, |ws| ws[i]);
+            if owner_is_src {
+                (u, v, w)
+            } else {
+                (v, u, w)
+            }
+        })
+        .collect();
+    triples.sort_unstable();
+    let mut index = vec![0usize; el.num_vertices() + 1];
+    for &(owner, _, _) in &triples {
+        index[owner as usize + 1] += 1;
+    }
+    for v in 0..el.num_vertices() {
+        index[v + 1] += index[v];
+    }
+    let neighbors = triples.iter().map(|&(_, nbr, _)| nbr).collect();
+    let weights = el
+        .weights()
+        .map(|_| triples.iter().map(|&(_, _, w)| w).collect());
+    (index, neighbors, weights)
+}
+
+/// The CSR `el` describes, built without the counting-sort code under
+/// test.
+fn reference_csr(el: &EdgeList) -> Csr {
+    Csr::from_adjacency_parts(
+        el.num_vertices(),
+        reference_direction(el, true),
+        reference_direction(el, false),
+    )
+    .expect("sorted triples are canonical CSR parts")
+}
 
 /// Small vertex counts with many edges, so self-loops and parallel
 /// edges occur constantly; `weighted != 0` attaches deterministic
@@ -27,50 +74,69 @@ fn arb_edge_list() -> impl Strategy<Value = EdgeList> {
     })
 }
 
+/// Asserts the build at every pool size equals the reference.
+fn assert_builds_match_reference(el: &EdgeList) {
+    let reference = reference_csr(el);
+    assert_eq!(Csr::from_edge_list(el), reference);
+    for threads in THREADS {
+        let pool = Pool::new(threads);
+        assert_eq!(
+            Csr::from_edge_list_with(el, &pool),
+            reference,
+            "threads = {threads}"
+        );
+    }
+}
+
 proptest! {
     // Case budget: ProptestConfig's default (64 in the workspace shim,
     // CI-friendly); set PROPTEST_CASES=<n> for deeper local soak runs.
     #![proptest_config(ProptestConfig::default())]
 
-    /// Pooled CSR construction is structurally identical to the
-    /// sequential counting-sort build.
+    /// CSR construction equals the sorted-triples reference at every
+    /// pool size.
     #[test]
     fn parallel_build_matches_sequential(el in arb_edge_list()) {
-        let seq = Csr::from_edge_list(&el);
+        let reference = reference_csr(&el);
+        prop_assert_eq!(&Csr::from_edge_list(&el), &reference);
         for threads in THREADS {
             let pool = Pool::new(threads);
             let par = Csr::from_edge_list_with(&el, &pool);
-            prop_assert_eq!(&par, &seq, "threads = {}", threads);
+            prop_assert_eq!(&par, &reference, "threads = {}", threads);
         }
     }
 
-    /// The direct CSR-to-CSR permutation apply (sequential and pooled)
-    /// equals the seed semantics: rebuild from the relabeled edge
-    /// list.
+    /// The direct CSR-to-CSR permutation apply equals the reference
+    /// CSR of the relabeled edge list at every pool size.
     #[test]
     fn direct_apply_matches_edge_list_rebuild(el in arb_edge_list(), seed in 0u64..1000) {
         let g = Csr::from_edge_list(&el);
         let perm = gen::random_permutation(g.num_vertices(), seed);
-        let via_edge_list = Csr::from_edge_list(&g.to_edge_list().relabel(&perm));
-        let direct = g.apply_permutation(&perm);
-        prop_assert_eq!(&direct, &via_edge_list);
+        let reference = reference_csr(&el.relabel(&perm));
+        prop_assert_eq!(&g.apply_permutation(&perm), &reference);
         for threads in THREADS {
             let pool = Pool::new(threads);
             let pooled = g.apply_permutation_with(&perm, &pool);
-            prop_assert_eq!(&pooled, &via_edge_list, "threads = {}", threads);
+            prop_assert_eq!(&pooled, &reference, "threads = {}", threads);
         }
     }
 
-    /// Pooled degree extraction equals the sequential scan for every
-    /// degree kind.
+    /// Degree extraction equals the edge list's own degree counts for
+    /// every degree kind and pool size.
     #[test]
     fn parallel_degrees_match_sequential(el in arb_edge_list()) {
         let g = Csr::from_edge_list(&el);
-        for kind in [DegreeKind::In, DegreeKind::Out, DegreeKind::Both] {
-            let seq = kind.degrees(&g);
+        let (ins, outs) = (el.in_degrees(), el.out_degrees());
+        let both: Vec<u32> = ins.iter().zip(&outs).map(|(i, o)| i + o).collect();
+        for (kind, expected) in [
+            (DegreeKind::In, &ins),
+            (DegreeKind::Out, &outs),
+            (DegreeKind::Both, &both),
+        ] {
+            prop_assert_eq!(&kind.degrees(&g), expected);
             for threads in THREADS {
                 let pool = Pool::new(threads);
-                prop_assert_eq!(kind.degrees_with(&g, &pool), seq.clone(), "threads = {}", threads);
+                prop_assert_eq!(&kind.degrees_with(&g, &pool), expected, "threads = {}", threads);
             }
         }
     }
@@ -78,39 +144,39 @@ proptest! {
 
 #[test]
 fn parallel_build_empty_graph() {
-    let pool = Pool::new(8);
-    let el = EdgeList::new(0);
-    assert_eq!(
-        Csr::from_edge_list_with(&el, &pool),
-        Csr::from_edge_list(&el)
-    );
+    assert_builds_match_reference(&EdgeList::new(0));
 }
 
 #[test]
 fn parallel_build_more_workers_than_edges() {
-    let pool = Pool::new(8);
     let mut el = EdgeList::new(3);
     el.push(0, 1);
     el.push(2, 2);
-    assert_eq!(
-        Csr::from_edge_list_with(&el, &pool),
-        Csr::from_edge_list(&el)
-    );
+    assert_builds_match_reference(&el);
 }
 
 #[test]
 fn parallel_paths_on_generated_graph() {
-    // A mid-size skewed graph with weights: one pool reused across
-    // build, apply, and degree extraction.
+    // A mid-size skewed graph with weights: one pool per size reused
+    // across build, apply, and degree extraction.
     let mut el = gen::community(gen::CommunityConfig::new(3000, 6.0).with_seed(42));
     el.randomize_weights(16, 9);
-    let pool = Pool::new(4);
-    let seq = Csr::from_edge_list(&el);
-    let par = Csr::from_edge_list_with(&el, &pool);
-    assert_eq!(par, seq);
-    let perm = gen::random_permutation(seq.num_vertices(), 77);
-    assert_eq!(
-        seq.apply_permutation_with(&perm, &pool),
-        Csr::from_edge_list(&seq.to_edge_list().relabel(&perm))
-    );
+    let reference = reference_csr(&el);
+    let perm = gen::random_permutation(el.num_vertices(), 77);
+    let relabeled = reference_csr(&el.relabel(&perm));
+    for threads in THREADS {
+        let pool = Pool::new(threads);
+        let par = Csr::from_edge_list_with(&el, &pool);
+        assert_eq!(par, reference, "threads = {threads}");
+        assert_eq!(
+            par.apply_permutation_with(&perm, &pool),
+            relabeled,
+            "threads = {threads}"
+        );
+        assert_eq!(
+            DegreeKind::Out.degrees_with(&par, &pool),
+            el.out_degrees(),
+            "threads = {threads}"
+        );
+    }
 }

@@ -146,6 +146,9 @@ impl StableOffsets {
 ///
 /// Both the counting pass and the (column-strided) prefix merge run on
 /// the pool; only the `O(parts)` chunk-total prefix is sequential.
+/// `bin_of(i)` runs exactly once per item of each range, so with
+/// disjoint ranges it may record a per-item result in a slot of its
+/// own (`lgr-core`'s `group_reorder_with` keeps each vertex's group).
 ///
 /// # Safety argument for the internal `unsafe`
 ///
@@ -190,9 +193,7 @@ where
     // Pass 1: per-worker histograms, each worker filling its own row.
     let rows: Vec<Range<usize>> = (0..workers).map(|w| w * bins..(w + 1) * bins).collect();
     par_chunks_mut(pool, &mut counts, &rows, |w, _, row| {
-        for i in ranges[w].clone() {
-            row[bin_of(i)] += 1;
-        }
+        count_into(row, ranges[w].clone(), &bin_of);
     });
     // Pass 2: column-major exclusive prefix sum, parallel over bin
     // chunks. Each chunk first accumulates relative offsets...
@@ -261,6 +262,18 @@ where
         bins,
         offsets,
         bin_starts,
+    }
+}
+
+/// Adds one to `row[bin_of(i)]` for every item `i`. Kept out of line so
+/// `row` arrives as a `noalias` parameter: the compiler then holds
+/// `bin_of`'s captures in registers instead of reloading them after
+/// every increment, which keeps random increments (a CSR's in-edges)
+/// overlapping in the memory pipeline.
+#[inline(never)]
+fn count_into<F: Fn(usize) -> usize>(row: &mut [usize], items: Range<usize>, bin_of: &F) {
+    for i in items {
+        row[bin_of(i)] += 1;
     }
 }
 

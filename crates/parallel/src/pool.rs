@@ -66,8 +66,9 @@ struct Shared {
 /// subsequent operation, so iterative algorithms (PageRank rounds,
 /// SSSP relaxation waves) pay the thread-spawn cost zero times instead
 /// of once per iteration. The calling thread participates as worker 0,
-/// so `Pool::new(t)` spawns only `t - 1` OS threads and `t == 1` is a
-/// true sequential fallback with no threads and no synchronization.
+/// so `Pool::new(t)` spawns only `t - 1` OS threads, and `Pool::new(1)`
+/// runs every broadcast inline with no threads and no synchronization:
+/// a pooled operation on a pool of one is the sequential code.
 ///
 /// A pool is `Send + Sync`: one pool can back many concurrent jobs
 /// (the shared-`Session` serving path hands a single pool to every
