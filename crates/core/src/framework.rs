@@ -209,28 +209,28 @@ pub fn group_reorder(degrees: &[u32], spec: &GroupingSpec) -> Permutation {
 /// a contiguous vertex range and the merge preserves worker order
 /// within each group, the permutation is the same for every pool size.
 pub fn group_reorder_with(degrees: &[u32], spec: &GroupingSpec, pool: &Pool) -> Permutation {
-    let ranges = even_ranges(degrees.len(), pool.threads());
+    let ranges = &even_ranges(degrees.len(), pool.threads());
     let bounds = spec.lower_bounds();
     // The counting pass records each vertex's group for the scatter,
     // so the binary search runs once per vertex and its latency hides
-    // the histogram's. The raw write may alias anything behind a
-    // reference, so every lookup reloads its inputs: the `move`
-    // closure and the bare bounds keep them one load away.
+    // the histogram's.
     let mut groups = vec![0u32; degrees.len()];
     let offsets = {
         let slots = SyncSlice::new(&mut groups);
-        stable_offsets(pool, &ranges, spec.num_groups(), move |v| {
-            let g = group_in(bounds, degrees[v]);
-            // SAFETY: `stable_offsets` calls this exactly once per
-            // vertex of each range, and `even_ranges` are disjoint, so
-            // no two calls write the same slot.
-            unsafe { slots.write(v, g as u32) };
-            g
+        stable_offsets(pool, ranges.len(), spec.num_groups(), move |p, row| {
+            let range = ranges[p].clone();
+            // SAFETY: each part writes only its own range.
+            let groups = unsafe { slots.slice_mut(range.clone()) };
+            for (g, &d) in groups.iter_mut().zip(&degrees[range]) {
+                let group = group_in(bounds, d);
+                *g = group as u32;
+                row[group] += 1;
+            }
         })
     };
     let mut new_ids = vec![0 as VertexId; degrees.len()];
-    par_chunks_mut(pool, &mut new_ids, &ranges, |w, range, chunk| {
-        let mut cursor = offsets.row(w).to_vec();
+    par_chunks_mut(pool, &mut new_ids, ranges, |p, range, chunk| {
+        let mut cursor = offsets.row(p).to_vec();
         for (slot, &g) in chunk.iter_mut().zip(&groups[range]) {
             *slot = cursor[g as usize] as VertexId;
             cursor[g as usize] += 1;

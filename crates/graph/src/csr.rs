@@ -5,6 +5,8 @@
 //! both adjacency structures. Weighted graphs carry per-edge weights
 //! parallel to each adjacency array.
 
+use std::ops::Range;
+
 use lgr_parallel::{edge_balanced_ranges, even_ranges, stable_offsets, Pool, SyncSlice};
 
 use crate::{EdgeList, Permutation, VertexId, Weight};
@@ -87,180 +89,138 @@ struct Adjacency {
     weights: Option<Vec<Weight>>,
 }
 
+/// What a CSR is written from: `(owner, neighbor, slot)`, with `slot`
+/// indexing the source's weight array, so weights move with their
+/// edges without the walk reading them.
+type Triple = (usize, VertexId, usize);
+
+/// How many parts a walk over `num_edges` edges is cut into: two per
+/// worker, dealt round-robin, since equal edge mass is not equal time
+/// (short lists cost more per edge than hub lists). Each part costs a
+/// V-slot histogram row and a V-slot cursor, so the count is capped at
+/// the average degree: the transient matrix never exceeds the edge
+/// array, however many cores the host has.
+fn walk_parts(pool: &Pool, num_vertices: usize, num_edges: usize) -> usize {
+    (2 * pool.threads()).min((num_edges / num_vertices.max(1)).max(1))
+}
+
 impl Adjacency {
-    /// Builds the adjacency from `(owner, neighbor, weight)` triples by
-    /// counting sort, O(V + E): per-worker counting, a stable
-    /// prefix-sum merge, a scatter, and edge-balanced per-vertex
-    /// neighbor sorting. The result is the same (`==`) for every pool
-    /// size.
-    ///
-    /// `ranges` partitions the edge array, one contiguous range per
-    /// pool worker.
-    fn build_with(
+    /// The stable counting scatter every CSR is written by: the
+    /// triples `walk` yields for each of `parts`, consecutive ranges of
+    /// its items, grouped by owner over `num_vertices` lists, with
+    /// weights read from `weights` at each slot. Parts are counted and
+    /// scattered on the pool, and each list holds part `p`'s triples
+    /// behind every earlier part's, in walk order within a part, so
+    /// the result is the same (`==`) for every pool size. Each part is
+    /// walked twice, to count and to scatter; the raw writes rely on
+    /// both walks yielding the same owners.
+    fn scatter<I: Iterator<Item = Triple>>(
         num_vertices: usize,
-        edges: &[(VertexId, VertexId)],
         weights: Option<&[Weight]>,
-        owner_is_src: bool,
+        parts: &[Range<usize>],
+        walk: impl Fn(Range<usize>) -> I + Sync,
         pool: &Pool,
-        ranges: &[std::ops::Range<usize>],
     ) -> Self {
-        let owner_of = |i: usize| {
-            let (u, v) = edges[i];
-            if owner_is_src {
-                u as usize
-            } else {
-                v as usize
-            }
-        };
-        let offs = stable_offsets(pool, ranges, num_vertices, owner_of);
-        let mut neighbors = vec![0 as VertexId; edges.len()];
-        let mut out_weights = weights.map(|_| vec![0 as Weight; edges.len()]);
+        let offs = stable_offsets(pool, parts.len(), num_vertices, |p, row| {
+            walk(parts[p].clone()).for_each(|(owner, _, _)| row[owner] += 1);
+        });
+        let mut neighbors = vec![0 as VertexId; offs.total()];
+        let mut out_weights = weights.map(|_| vec![0 as Weight; offs.total()]);
         {
             let nb = SyncSlice::new(&mut neighbors);
             let wt = out_weights.as_mut().map(|w| SyncSlice::new(w));
             pool.broadcast(|w| {
-                // Counting ranges may be fewer than pool workers (the
-                // histogram cap in `from_edge_list_with`); surplus
-                // workers sit this pass out.
-                let Some(range) = ranges.get(w).cloned() else {
-                    return;
-                };
-                // Locals, not captures: the raw writes below may alias
-                // anything behind a captured reference, so captures
-                // would be reloaded for every edge.
-                let (nb, wt, owner_is_src) = (nb, wt, owner_is_src);
-                let ws = weights.map(|ws| &ws[range.clone()]);
-                let mut cursor = offs.row(w).to_vec();
-                for (k, &(u, v)) in edges[range].iter().enumerate() {
-                    let (owner, other) = if owner_is_src { (u, v) } else { (v, u) };
-                    let slot = cursor[owner as usize];
-                    cursor[owner as usize] += 1;
-                    // SAFETY: stable offsets assign every (worker,
-                    // edge) pair a distinct slot, so writes are
-                    // disjoint across workers.
-                    unsafe { nb.write(slot, other) };
-                    if let (Some(ws), Some(wt)) = (ws, wt) {
-                        // SAFETY: same disjoint-slot argument as the
-                        // neighbor write above.
-                        unsafe { wt.write(slot, ws[k]) };
+                for p in (w..parts.len()).step_by(pool.threads()) {
+                    let (triples, cursor) = (walk(parts[p].clone()), &mut offs.row(p).to_vec());
+                    // One instance per weightedness: no per-edge test.
+                    match (weights, wt) {
+                        (Some(src), Some(wt)) => {
+                            scatter_part(triples, cursor, nb, move |slot, k| {
+                                // SAFETY: stable offsets give every triple
+                                // a distinct slot.
+                                unsafe { wt.write(slot, src[k]) }
+                            })
+                        }
+                        _ => scatter_part(triples, cursor, nb, |_, _| {}),
                     }
                 }
             });
         }
-        let index = offs.into_bin_starts();
-        // Canonicalize in parallel, dividing vertices by edge mass so
-        // hub-heavy prefixes don't serialize on one worker.
-        let vranges = edge_balanced_ranges(&index, pool.threads());
-        {
-            let nb = SyncSlice::new(&mut neighbors);
-            let wt = out_weights.as_mut().map(|w| SyncSlice::new(w));
-            pool.broadcast(|w| {
-                let mut scratch = Vec::new();
-                for v in vranges[w].clone() {
-                    let range = index[v]..index[v + 1];
-                    // SAFETY: neighbor ranges of distinct vertices are
-                    // disjoint, and each worker owns a distinct vertex
-                    // range.
-                    let nbrs = unsafe { nb.slice_mut(range.clone()) };
-                    // SAFETY: same disjoint per-vertex range as above.
-                    let ws = wt.map(|wt| unsafe { wt.slice_mut(range.clone()) });
-                    sort_adjacent(nbrs, ws, &mut scratch);
-                }
-            });
-        }
         Adjacency {
-            index,
+            index: offs.into_bin_starts(),
             neighbors,
             weights: out_weights,
         }
     }
 
-    /// Relabels this adjacency under `perm` directly, CSR-to-CSR: new
-    /// vertex `nv`'s list is original vertex `inv[nv]`'s list with
-    /// every neighbor relabeled, then canonically sorted. The new index
-    /// is built with a two-level prefix sum; relabeling and sorting are
-    /// divided by edge mass.
-    fn permute_with(&self, perm: &Permutation, inv: &[VertexId], pool: &Pool) -> Self {
-        let n = inv.len();
-        let vranges = even_ranges(n, pool.threads());
-        // Level 1: per-worker degree sums; level 2: sequential prefix
-        // over worker totals; level 3: parallel index fill.
-        let mut chunk_sums = vec![0usize; vranges.len()];
-        lgr_parallel::par_fill(pool, &mut chunk_sums, |j| {
-            vranges[j]
-                .clone()
-                .map(|nv| self.degree(inv[nv]) as usize)
-                .sum()
+    /// This direction transposed under a relabeling, over `n` vertices:
+    /// new ids `nv` walked in ascending order, each entry `u` of old
+    /// vertex `old_of(nv)`'s list landing in the list of `new_of(u)`.
+    /// The lists here are canonical, so the entries one owner receives
+    /// from one `nv` (the copies of one `u`) come in ascending weight
+    /// order, and `nv` ascends: every list of the transpose is
+    /// canonical with no sort, parallel edges and self-loops included.
+    fn transpose(
+        &self,
+        n: usize,
+        parts: usize,
+        old_of: impl Fn(usize) -> usize + Sync + Copy,
+        new_of: impl Fn(VertexId) -> usize + Sync + Copy,
+        pool: &Pool,
+    ) -> Self {
+        let (index, neighbors) = (&self.index[..], &self.neighbors[..]);
+        // Cut the new ids into ranges of near-equal edge mass, so that
+        // hub-first orderings do not load one part with every hub. The
+        // relabeled index does not exist yet: scan degrees in new-id
+        // order, up to the last cut.
+        let mut cuts = Vec::with_capacity(parts);
+        let (mut start, mut end, mut mass) = (0, 0, 0);
+        for p in 1..parts {
+            while end < n && mass < neighbors.len() * p / parts {
+                let v = old_of(end);
+                mass += index[v + 1] - index[v];
+                end += 1;
+            }
+            cuts.push(start..end);
+            start = end;
+        }
+        cuts.push(start..n);
+        let walk = move |items: Range<usize>| {
+            items.flat_map(move |nv| {
+                let v = old_of(nv);
+                let range = index[v]..index[v + 1];
+                let slots = range.clone().zip(&neighbors[range]);
+                slots.map(move |(slot, &u)| (new_of(u), nv as VertexId, slot))
+            })
+        };
+        Adjacency::scatter(n, self.weights.as_deref(), &cuts, walk, pool)
+    }
+
+    /// Sorts every list into canonical `(neighbor, weight)` order on the
+    /// pool, dividing vertices by edge mass so hub-heavy prefixes don't
+    /// serialize on one worker.
+    fn sort_lists(&mut self, pool: &Pool) {
+        let index = &self.index;
+        let vranges = edge_balanced_ranges(index, pool.threads());
+        let nb = SyncSlice::new(&mut self.neighbors);
+        let wt = self.weights.as_mut().map(|w| SyncSlice::new(w));
+        pool.broadcast(|w| {
+            let mut scratch = Vec::new();
+            for v in vranges[w].clone() {
+                let range = index[v]..index[v + 1];
+                // SAFETY: neighbor ranges of distinct vertices are
+                // disjoint, and each worker owns a distinct vertex
+                // range.
+                let nbrs = unsafe { nb.slice_mut(range.clone()) };
+                // SAFETY: same disjoint per-vertex range as above.
+                let ws = wt.map(|wt| unsafe { wt.slice_mut(range.clone()) });
+                sort_adjacent(nbrs, ws, &mut scratch);
+            }
         });
-        let mut bases = vec![0usize; vranges.len()];
-        let mut acc = 0usize;
-        for (base, &s) in bases.iter_mut().zip(&chunk_sums) {
-            *base = acc;
-            acc += s;
-        }
-        let mut index = vec![0usize; n + 1];
-        {
-            let idx = SyncSlice::new(&mut index);
-            let bases = &bases;
-            let vranges = &vranges;
-            pool.broadcast(|w| {
-                let mut acc = bases[w];
-                for nv in vranges[w].clone() {
-                    acc += self.degree(inv[nv]) as usize;
-                    // SAFETY: worker w writes only slots nv+1 for nv in
-                    // its own vertex range (slot 0 stays 0).
-                    unsafe { idx.write(nv + 1, acc) };
-                }
-            });
-        }
-        let mut neighbors = vec![0 as VertexId; self.neighbors.len()];
-        let mut weights = self
-            .weights
-            .as_ref()
-            .map(|_| vec![0 as Weight; self.neighbors.len()]);
-        let eranges = edge_balanced_ranges(&index, pool.threads());
-        {
-            let nb = SyncSlice::new(&mut neighbors);
-            let wt = weights.as_mut().map(|w| SyncSlice::new(w));
-            pool.broadcast(|w| {
-                // A local, not a capture, for the same reason as the
-                // build's scatter: the relabel loop writes through raw
-                // slices.
-                let new_ids = perm.new_ids();
-                let mut scratch = Vec::new();
-                for nv in eranges[w].clone() {
-                    let src = self.range(inv[nv]);
-                    let dst = index[nv]..index[nv + 1];
-                    // SAFETY: destination ranges of distinct new
-                    // vertices are disjoint, and each worker owns a
-                    // distinct new-vertex range.
-                    let out = unsafe { nb.slice_mut(dst.clone()) };
-                    for (slot, &u) in out.iter_mut().zip(&self.neighbors[src.clone()]) {
-                        *slot = new_ids[u as usize];
-                    }
-                    let out_w = match (self.weights.as_ref(), wt) {
-                        (Some(src_w), Some(wt)) => {
-                            // SAFETY: same disjoint destination range
-                            // as the neighbor slice above.
-                            let out_w = unsafe { wt.slice_mut(dst) };
-                            out_w.copy_from_slice(&src_w[src]);
-                            Some(out_w)
-                        }
-                        _ => None,
-                    };
-                    sort_adjacent(out, out_w, &mut scratch);
-                }
-            });
-        }
-        Adjacency {
-            index,
-            neighbors,
-            weights,
-        }
     }
 
     #[inline]
-    fn range(&self, v: VertexId) -> std::ops::Range<usize> {
+    fn range(&self, v: VertexId) -> Range<usize> {
         self.index[v as usize]..self.index[v as usize + 1]
     }
 
@@ -273,6 +233,28 @@ impl Adjacency {
     fn degree(&self, v: VertexId) -> u32 {
         (self.index[v as usize + 1] - self.index[v as usize]) as u32
     }
+}
+
+/// Scatters `triples` through `cursor`, their part's row of the stable
+/// offsets, handing each `(slot, source slot)` to `put_weight`. Out of
+/// line so that `cursor` and the walk's state arrive as `noalias`
+/// parameters: the raw writes would otherwise force a reload of every
+/// captured pointer per edge.
+#[inline(never)]
+fn scatter_part(
+    triples: impl Iterator<Item = Triple>,
+    cursor: &mut [usize],
+    nb: SyncSlice<'_, VertexId>,
+    put_weight: impl Fn(usize, usize),
+) {
+    triples.for_each(move |(owner, neighbor, k)| {
+        let slot = cursor[owner];
+        cursor[owner] += 1;
+        // SAFETY: stable offsets give every triple a distinct slot, so
+        // writes are disjoint across parts.
+        unsafe { nb.write(slot, neighbor) };
+        put_weight(slot, k);
+    });
 }
 
 /// A directed graph in Compressed Sparse Row form, storing both in- and
@@ -307,11 +289,14 @@ impl Csr {
         Self::from_edge_list_with(el, &Pool::new(1))
     }
 
-    /// Builds a CSR graph from an edge list using the worker pool:
-    /// out- and in-adjacencies are assembled by counting sort
-    /// (per-worker histograms merged by prefix sum, scatter,
-    /// edge-balanced neighbor sorting). Each vertex's neighbors come
-    /// out in ascending `(neighbor, weight)` order.
+    /// Builds a CSR graph from an edge list using the worker pool. The
+    /// out-direction is a stable counting scatter of the edges by
+    /// source (per-part histograms merged by prefix sum, then the
+    /// scatter), after which each list is sorted, edge-balanced across
+    /// the workers. The in-direction is the transpose of that sorted
+    /// out-direction, the same scatter walking sources in ascending
+    /// order, and needs no sort. Each vertex's neighbors come out in
+    /// ascending `(neighbor, weight)` order.
     ///
     /// The result is structurally identical (`==`) for every pool
     /// size; a pool of one runs the same code inline.
@@ -329,21 +314,21 @@ impl Csr {
     /// assert_eq!(Csr::from_edge_list_with(&el, &pool), Csr::from_edge_list(&el));
     /// ```
     pub fn from_edge_list_with(el: &EdgeList, pool: &Pool) -> Self {
-        let n = el.num_vertices();
-        let edges = el.edges();
-        let weights = el.weights();
-        // Each counting range costs a V-slot histogram row (plus a
-        // V-slot scatter cursor), so cap the range count at the
-        // average degree: the transient per-direction matrix then
-        // never exceeds the edge array itself, instead of growing
-        // linearly with core count on many-core hosts.
-        let parts = pool.threads().min((edges.len() / n.max(1)).max(1));
-        let ranges = even_ranges(edges.len(), parts);
+        let (n, edges) = (el.num_vertices(), el.edges());
+        let parts = walk_parts(pool, n, edges.len());
+        let cuts = even_ranges(edges.len(), parts);
+        let walk = |items: Range<usize>| {
+            let pairs = items.clone().zip(&edges[items]);
+            pairs.map(|(slot, &(u, v))| (u as usize, v, slot))
+        };
+        let mut out = Adjacency::scatter(n, el.weights(), &cuts, walk, pool);
+        out.sort_lists(pool);
+        let inn = out.transpose(n, parts, |v| v, |u| u as usize, pool);
         Csr {
             num_vertices: n,
             num_edges: edges.len(),
-            out: Adjacency::build_with(n, edges, weights, true, pool, &ranges),
-            inn: Adjacency::build_with(n, edges, weights, false, pool, &ranges),
+            out,
+            inn,
         }
     }
 
@@ -492,25 +477,32 @@ impl Csr {
         self.apply_permutation_with(perm, &Pool::new(1))
     }
 
-    /// [`Csr::apply_permutation`] on the worker pool. The relabeling
-    /// scatters CSR-to-CSR directly — no intermediate [`EdgeList`] is
-    /// materialized and no counting sort is repeated — with index
-    /// construction, neighbor relabeling, and canonical sorting divided
-    /// across the pool's workers (edge-balanced). The result is
-    /// structurally identical (`==`) to rebuilding from the relabeled
-    /// edge list, for every pool size.
+    /// [`Csr::apply_permutation`] on the worker pool. Each direction of
+    /// the relabeled graph is the transpose of the *other* old
+    /// direction, written CSR-to-CSR by the build's counting scatter
+    /// with no intermediate [`EdgeList`]: new ids are walked in
+    /// ascending order, and because the old lists are canonical, every
+    /// new list comes out in canonical `(neighbor, weight)` order with
+    /// no sort. The walk is cut into parts of near-equal edge mass
+    /// across the pool's workers. The result is structurally identical
+    /// (`==`) to rebuilding from the relabeled edge list, for every
+    /// pool size.
     ///
     /// # Panics
     ///
     /// Panics if the permutation length differs from the vertex count.
     pub fn apply_permutation_with(&self, perm: &Permutation, pool: &Pool) -> Csr {
         assert_eq!(perm.len(), self.num_vertices, "permutation length mismatch");
-        let inv = perm.inverse();
+        let (n, inv) = (self.num_vertices, perm.inverse());
+        let (inv, new_ids) = (&inv[..], perm.new_ids());
+        let old_of = move |nv: usize| inv[nv] as usize;
+        let new_of = move |u: VertexId| new_ids[u as usize] as usize;
+        let parts = walk_parts(pool, n, self.num_edges);
         Csr {
-            num_vertices: self.num_vertices,
+            num_vertices: n,
             num_edges: self.num_edges,
-            out: self.out.permute_with(perm, &inv, pool),
-            inn: self.inn.permute_with(perm, &inv, pool),
+            out: self.inn.transpose(n, parts, old_of, new_of, pool),
+            inn: self.out.transpose(n, parts, old_of, new_of, pool),
         }
     }
 

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 
-use lgr_graph::{gen, Csr, DegreeKind, EdgeList, VertexId, Weight};
+use lgr_graph::{gen, Csr, DegreeKind, EdgeList, Permutation, VertexId, Weight};
 use lgr_parallel::Pool;
 
 /// Thread counts exercised per case (1 = inline on the caller).
@@ -18,7 +18,7 @@ const THREADS: [usize; 4] = [1, 2, 3, 8];
 /// from the owners. Unweighted triples carry weight 0.
 fn reference_direction(
     el: &EdgeList,
-    owner_is_src: bool,
+    by_source: bool,
 ) -> (Vec<usize>, Vec<VertexId>, Option<Vec<Weight>>) {
     let mut triples: Vec<(VertexId, VertexId, Weight)> = el
         .edges()
@@ -26,7 +26,7 @@ fn reference_direction(
         .enumerate()
         .map(|(i, &(u, v))| {
             let w = el.weights().map_or(0, |ws| ws[i]);
-            if owner_is_src {
+            if by_source {
                 (u, v, w)
             } else {
                 (v, u, w)
@@ -74,15 +74,21 @@ fn arb_edge_list() -> impl Strategy<Value = EdgeList> {
     })
 }
 
-/// Asserts the build at every pool size equals the reference.
+/// Asserts the build at every pool size equals the reference, and so
+/// does applying the reversal permutation to it.
 fn assert_builds_match_reference(el: &EdgeList) {
     let reference = reference_csr(el);
+    let n = el.num_vertices() as VertexId;
+    let reversal = Permutation::from_new_ids((0..n).rev().collect()).unwrap();
+    let reversed = reference_csr(&el.relabel(&reversal));
     assert_eq!(Csr::from_edge_list(el), reference);
     for threads in THREADS {
         let pool = Pool::new(threads);
+        let g = Csr::from_edge_list_with(el, &pool);
+        assert_eq!(g, reference, "threads = {threads}");
         assert_eq!(
-            Csr::from_edge_list_with(el, &pool),
-            reference,
+            g.apply_permutation_with(&reversal, &pool),
+            reversed,
             "threads = {threads}"
         );
     }

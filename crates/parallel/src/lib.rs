@@ -11,9 +11,9 @@
 //!   until all finish (the base primitive everything else builds on);
 //! * [`par_fill`] / [`par_fill_ranges`] / [`par_chunks_mut`] — safe
 //!   chunked for-each over slices;
-//! * [`stable_offsets`] — per-worker histogram + prefix-sum merge, the
-//!   core of stable parallel counting sorts (CSR construction, DBG
-//!   grouping);
+//! * [`stable_offsets`] — per-part histograms merged by prefix sum,
+//!   the core of stable parallel counting sorts (every CSR build and
+//!   permutation apply, DBG grouping);
 //! * [`even_ranges`] / [`edge_balanced_ranges`] — work division,
 //!   including the degree-skew-aware splitter that keeps hub-first
 //!   orderings from starving all but one worker;
@@ -24,9 +24,10 @@
 //!
 //! Every primitive here is deterministic: results are pure functions
 //! of the inputs, independent of the worker count and of scheduling.
-//! Parallel counting sorts preserve stability by giving each worker a
-//! contiguous input range and merging histograms in worker order, so
-//! `threads = N` produces bit-identical output to `threads = 1`.
+//! Parallel counting sorts preserve stability by cutting the input
+//! into consecutive parts and merging the parts' histograms in part
+//! order, whichever worker counted each part, so `threads = N`
+//! produces bit-identical output to `threads = 1`.
 //!
 //! # Thread-count knob
 //!

@@ -84,19 +84,18 @@ where
     });
 }
 
-/// Stable scatter offsets: the result of a per-worker histogram merged
+/// Stable scatter offsets: the result of per-part histograms merged
 /// by prefix sum, as produced by [`stable_offsets`].
 ///
-/// For a counting sort over `bins` keys where worker `w` owns the
-/// `w`-th contiguous input range, `row(w)[b]` is the first output slot
-/// for worker `w`'s items with key `b`. Laying items out at
-/// `row(w)[b]`, incrementing per item, yields the *stable* order:
-/// grouped by bin, original input order within each bin.
+/// For a counting sort over `bins` keys where part `p` is the `p`-th
+/// consecutive piece of the input, `row(p)[b]` is the first output
+/// slot for part `p`'s items with key `b`. Laying items out at
+/// `row(p)[b]`, incrementing per item, yields the *stable* order:
+/// grouped by bin, input order within each bin.
 #[derive(Debug, Clone)]
 pub struct StableOffsets {
-    workers: usize,
     bins: usize,
-    /// Flat `workers × bins` start-offset matrix, row per worker.
+    /// Flat `parts × bins` start-offset matrix, row per part.
     offsets: Vec<usize>,
     /// `bin_starts[b]` is the first output slot of bin `b`; the extra
     /// last entry equals the item total (a ready-made CSR index).
@@ -104,20 +103,10 @@ pub struct StableOffsets {
 }
 
 impl StableOffsets {
-    /// Number of workers (histogram rows).
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Number of bins (histogram columns).
-    pub fn bins(&self) -> usize {
-        self.bins
-    }
-
-    /// Worker `w`'s start offset per bin. Clone it into a local cursor
+    /// Part `p`'s start offset per bin. Clone it into a local cursor
     /// and post-increment per scattered item.
-    pub fn row(&self, worker: usize) -> &[usize] {
-        &self.offsets[worker * self.bins..(worker + 1) * self.bins]
+    pub fn row(&self, part: usize) -> &[usize] {
+        &self.offsets[part * self.bins..(part + 1) * self.bins]
     }
 
     /// Exclusive prefix sum of bin sizes, length `bins + 1` — exactly
@@ -134,27 +123,35 @@ impl StableOffsets {
 
     /// Total number of items counted.
     pub fn total(&self) -> usize {
-        *self.bin_starts.last().expect("bin_starts is never empty")
+        // `bin_starts` holds `bins + 1` entries, so `last` is never
+        // `None`.
+        self.bin_starts.last().copied().unwrap_or(0)
     }
 }
 
-/// Per-worker histogram + prefix-sum merge: counts `bin_of(i)` for
-/// every item `i` of every range in parallel, then merges the
-/// per-worker histograms into stable scatter offsets (bin-major, then
-/// worker-major — i.e. original input order within each bin, because
-/// `ranges[w]` must be the `w`-th *contiguous* piece of the input).
+/// Per-part histograms merged by prefix sum: `count(p, row)` adds one
+/// to `row[b]` for each item of part `p` with key `b`, every part
+/// counting into its own zeroed row on the pool; the rows are then
+/// merged into stable scatter offsets (bin-major, then part-major —
+/// i.e. input order within each bin, because part `p` must be the
+/// `p`-th *consecutive* piece of the input).
+///
+/// `count` runs exactly once per part, so it may also record a
+/// per-item result in a range of its own (`lgr-core`'s
+/// `group_reorder_with` keeps each vertex's group). It runs out of
+/// line, with `row` a `noalias` parameter: the compiler then holds
+/// `count`'s captures in registers instead of reloading them after
+/// every increment, which keeps random increments (a CSR's owners)
+/// overlapping in the memory pipeline.
 ///
 /// Both the counting pass and the (column-strided) prefix merge run on
-/// the pool; only the `O(parts)` chunk-total prefix is sequential.
-/// `bin_of(i)` runs exactly once per item of each range, so with
-/// disjoint ranges it may record a per-item result in a slot of its
-/// own (`lgr-core`'s `group_reorder_with` keeps each vertex's group).
+/// the pool; only the `O(threads)` chunk-total prefix is sequential.
 ///
 /// # Safety argument for the internal `unsafe`
 ///
 /// The prefix merge writes through [`SyncSlice`] without locks: each
 /// pool task owns a disjoint range of bins, and every cell it touches
-/// (`w * bins + b`, plus `bin_starts[b]`) is indexed by a bin `b`
+/// (`p * bins + b`, plus `bin_starts[b]`) is indexed by a bin `b`
 /// from its own range — tasks therefore never alias a cell, and both
 /// borrows end before the enclosing scope returns the vectors.
 ///
@@ -166,38 +163,35 @@ impl StableOffsets {
 /// let keys = [1usize, 0, 1, 1, 0];
 /// let pool = Pool::new(2);
 /// let ranges = even_ranges(keys.len(), pool.threads());
-/// let offs = stable_offsets(&pool, &ranges, 2, |i| keys[i]);
+/// let offs = stable_offsets(&pool, ranges.len(), 2, |p, row| {
+///     for &k in &keys[ranges[p].clone()] {
+///         row[k] += 1;
+///     }
+/// });
 /// assert_eq!(offs.bin_starts(), &[0, 2, 5]);
-/// // Worker 0 owns items 0..3 (keys 1, 0, 1): its first key-0 item
+/// // Part 0 holds items 0..3 (keys 1, 0, 1): its first key-0 item
 /// // lands at slot 0, its first key-1 item at slot 2.
 /// assert_eq!(offs.row(0), &[0, 2]);
-/// // Worker 1 owns items 3..5 (keys 1, 0): after worker 0's one
-/// // key-0 item and two key-1 items.
+/// // Part 1 holds items 3..5 (keys 1, 0): after part 0's one key-0
+/// // item and two key-1 items.
 /// assert_eq!(offs.row(1), &[1, 4]);
 /// ```
 ///
 /// # Panics
 ///
-/// Panics if `bin_of` returns a value `>= bins`.
-pub fn stable_offsets<F>(
-    pool: &Pool,
-    ranges: &[Range<usize>],
-    bins: usize,
-    bin_of: F,
-) -> StableOffsets
+/// Panics if `count` indexes `row` at or past `bins`.
+pub fn stable_offsets<F>(pool: &Pool, parts: usize, bins: usize, count: F) -> StableOffsets
 where
-    F: Fn(usize) -> usize + Sync,
+    F: Fn(usize, &mut [usize]) + Sync,
 {
-    let workers = ranges.len();
-    let mut counts = vec![0usize; workers * bins];
-    // Pass 1: per-worker histograms, each worker filling its own row.
-    let rows: Vec<Range<usize>> = (0..workers).map(|w| w * bins..(w + 1) * bins).collect();
-    par_chunks_mut(pool, &mut counts, &rows, |w, _, row| {
-        count_into(row, ranges[w].clone(), &bin_of);
+    let mut offsets = vec![0usize; parts * bins];
+    // Pass 1: per-part histograms, each part filling its own row.
+    let rows: Vec<Range<usize>> = (0..parts).map(|p| p * bins..(p + 1) * bins).collect();
+    par_chunks_mut(pool, &mut offsets, &rows, |p, _, row| {
+        count_part(row, p, &count)
     });
     // Pass 2: column-major exclusive prefix sum, parallel over bin
     // chunks. Each chunk first accumulates relative offsets...
-    let mut offsets = counts;
     let mut bin_starts = vec![0usize; bins + 1];
     let bin_ranges = even_ranges(bins, pool.threads());
     let mut chunk_totals = vec![0usize; bin_ranges.len()];
@@ -210,8 +204,8 @@ where
                 // SAFETY: bin chunk j touches only columns in its
                 // (disjoint) bin range.
                 unsafe { starts.write(b, acc) };
-                for w in 0..workers {
-                    let idx = w * bins + b;
+                for p in 0..parts {
+                    let idx = p * bins + b;
                     // SAFETY: same disjoint-columns argument.
                     let c = unsafe { off.read(idx) };
                     // SAFETY: same disjoint-columns argument.
@@ -222,7 +216,7 @@ where
             acc
         });
     }
-    // ...then a sequential O(parts) prefix over chunk totals...
+    // ...then a sequential O(threads) prefix over chunk totals...
     let mut bases = vec![0usize; bin_ranges.len()];
     let mut acc = 0usize;
     for (base, &t) in bases.iter_mut().zip(&chunk_totals) {
@@ -246,8 +240,8 @@ where
                     // SAFETY: disjoint bin columns per chunk j, and
                     // each j is visited by exactly one worker.
                     unsafe { starts.write(b, starts.read(b) + base) };
-                    for wk in 0..workers {
-                        let idx = wk * bins + b;
+                    for p in 0..parts {
+                        let idx = p * bins + b;
                         // SAFETY: same disjoint-columns-per-chunk
                         // argument as the rebase above.
                         unsafe { off.write(idx, off.read(idx) + base) };
@@ -258,23 +252,17 @@ where
     }
     bin_starts[bins] = total;
     StableOffsets {
-        workers,
         bins,
         offsets,
         bin_starts,
     }
 }
 
-/// Adds one to `row[bin_of(i)]` for every item `i`. Kept out of line so
-/// `row` arrives as a `noalias` parameter: the compiler then holds
-/// `bin_of`'s captures in registers instead of reloading them after
-/// every increment, which keeps random increments (a CSR's in-edges)
-/// overlapping in the memory pipeline.
+/// Runs `count(part, row)` out of line, so that `row` arrives as a
+/// `noalias` parameter (see [`stable_offsets`]).
 #[inline(never)]
-fn count_into<F: Fn(usize) -> usize>(row: &mut [usize], items: Range<usize>, bin_of: &F) {
-    for i in items {
-        row[bin_of(i)] += 1;
-    }
+fn count_part<F: Fn(usize, &mut [usize])>(row: &mut [usize], part: usize, count: &F) {
+    count(part, row);
 }
 
 #[cfg(test)]
@@ -318,22 +306,34 @@ mod tests {
 
     /// Reference sequential stable counting-sort offsets.
     fn reference_offsets(keys: &[usize], ranges: &[Range<usize>], bins: usize) -> Vec<usize> {
-        let workers = ranges.len();
-        let mut counts = vec![0usize; workers * bins];
-        for (w, r) in ranges.iter().enumerate() {
+        let parts = ranges.len();
+        let mut counts = vec![0usize; parts * bins];
+        for (p, r) in ranges.iter().enumerate() {
             for i in r.clone() {
-                counts[w * bins + keys[i]] += 1;
+                counts[p * bins + keys[i]] += 1;
             }
         }
-        let mut offsets = vec![0usize; workers * bins];
+        let mut offsets = vec![0usize; parts * bins];
         let mut acc = 0usize;
         for b in 0..bins {
-            for w in 0..workers {
-                offsets[w * bins + b] = acc;
-                acc += counts[w * bins + b];
+            for p in 0..parts {
+                offsets[p * bins + b] = acc;
+                acc += counts[p * bins + b];
             }
         }
         offsets
+    }
+
+    /// Counts `keys[i]` for every item `i` of part `p`'s range.
+    fn count_keys<'a>(
+        keys: &'a [usize],
+        ranges: &'a [Range<usize>],
+    ) -> impl Fn(usize, &mut [usize]) + Sync + 'a {
+        move |p, row| {
+            for &k in &keys[ranges[p].clone()] {
+                row[k] += 1;
+            }
+        }
     }
 
     #[test]
@@ -342,10 +342,10 @@ mod tests {
         for threads in [1usize, 2, 3, 8] {
             let pool = Pool::new(threads);
             let ranges = even_ranges(keys.len(), pool.threads());
-            let offs = stable_offsets(&pool, &ranges, 17, |i| keys[i]);
+            let offs = stable_offsets(&pool, ranges.len(), 17, count_keys(&keys, &ranges));
             let expect = reference_offsets(&keys, &ranges, 17);
-            for w in 0..pool.threads() {
-                assert_eq!(offs.row(w), &expect[w * 17..(w + 1) * 17], "worker {w}");
+            for p in 0..ranges.len() {
+                assert_eq!(offs.row(p), &expect[p * 17..(p + 1) * 17], "part {p}");
             }
             assert_eq!(offs.total(), keys.len());
             // bin_starts is the exclusive prefix of bin sizes.
@@ -369,10 +369,10 @@ mod tests {
         let keys = [2usize, 0, 2, 1, 0, 2, 2, 1];
         let pool = Pool::new(3);
         let ranges = even_ranges(keys.len(), pool.threads());
-        let offs = stable_offsets(&pool, &ranges, 3, |i| keys[i]);
+        let offs = stable_offsets(&pool, ranges.len(), 3, count_keys(&keys, &ranges));
         let mut out = vec![usize::MAX; keys.len()];
-        for (w, r) in ranges.iter().enumerate() {
-            let mut cursor = offs.row(w).to_vec();
+        for (p, r) in ranges.iter().enumerate() {
+            let mut cursor = offs.row(p).to_vec();
             for i in r.clone() {
                 out[cursor[keys[i]]] = i;
                 cursor[keys[i]] += 1;
@@ -388,7 +388,7 @@ mod tests {
     fn stable_offsets_empty_input() {
         let pool = Pool::new(4);
         let ranges = even_ranges(0, pool.threads());
-        let offs = stable_offsets(&pool, &ranges, 5, |_| unreachable!());
+        let offs = stable_offsets(&pool, ranges.len(), 5, count_keys(&[], &ranges));
         assert_eq!(offs.total(), 0);
         assert_eq!(offs.bin_starts(), &[0; 6]);
     }
@@ -397,7 +397,7 @@ mod tests {
     fn stable_offsets_zero_bins() {
         let pool = Pool::new(2);
         let ranges = even_ranges(0, pool.threads());
-        let offs = stable_offsets(&pool, &ranges, 0, |_| unreachable!());
+        let offs = stable_offsets(&pool, ranges.len(), 0, count_keys(&[], &ranges));
         assert_eq!(offs.total(), 0);
         assert_eq!(offs.bin_starts(), &[0]);
     }
