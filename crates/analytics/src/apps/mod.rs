@@ -66,17 +66,6 @@ impl AppId {
         matches!(self, AppId::Sssp | AppId::Prd)
     }
 
-    /// `true` if the application requires edge weights.
-    pub fn needs_weights(self) -> bool {
-        matches!(self, AppId::Sssp)
-    }
-
-    /// `true` for root-dependent traversal applications (run from
-    /// multiple roots in the paper's methodology).
-    pub fn is_root_dependent(self) -> bool {
-        matches!(self, AppId::Bc | AppId::Sssp)
-    }
-
     /// Looks an application up by display name (case-insensitive).
     pub fn from_name(name: &str) -> Option<AppId> {
         AppId::ALL

@@ -1,24 +1,18 @@
-//! Benchmarks for the engine's coalescing cache under concurrency —
-//! the measurements behind two choices in `lgr_engine::coalesce`:
-//!
-//! * the shard sweep (1/4/16/64 shards, unbounded, 8 threads) under
-//!   skewed hits and under distinct-key insert churn locates the
-//!   throughput plateau that justifies `DEFAULT_SHARDS`;
-//! * the policy sweep (LRU vs cost-aware under a budget that holds a
-//!   fraction of the working set, with a periodically re-touched set
-//!   of expensive-to-build keys) justifies the cost-aware default.
+//! Benchmark for the engine's coalescing cache under concurrency: the
+//! shard sweep (1/4/16/64 shards, unbounded, 8 threads) under skewed
+//! hits and under distinct-key insert churn locates the throughput
+//! plateau that justifies `lgr_engine::coalesce::DEFAULT_SHARDS`.
 //!
 //! Run with `cargo bench -p lgr-bench --bench cache`. Each line is the
 //! median wall time of `SAMPLES` runs (after one untimed warm-up) and
-//! the op throughput it implies; the last line is the cost-aware/LRU
-//! throughput ratio.
+//! the op throughput it implies.
 //!
 //! Everything is deterministic: keys come from a fixed-seed LCG with
 //! a product skew, build cost is a fixed busy-work loop.
 
 use std::time::{Duration, Instant};
 
-use lgr_engine::coalesce::{CacheConfig, EvictionPolicy, ShardedCache};
+use lgr_engine::coalesce::{CacheConfig, ShardedCache};
 
 const THREADS: usize = 8;
 const SAMPLES: usize = 10;
@@ -66,7 +60,7 @@ fn run_threads(config: CacheConfig, ops: impl Fn(usize, &ShardedCache<u64, Vec<u
 
 /// Times `run` once untimed, then `SAMPLES` times, and prints the
 /// median with the throughput of `elements` ops per run.
-fn bench(name: &str, elements: usize, run: impl Fn()) -> Duration {
+fn bench(name: &str, elements: usize, run: impl Fn()) {
     run();
     let mut samples: Vec<Duration> = (0..SAMPLES)
         .map(|_| {
@@ -82,7 +76,6 @@ fn bench(name: &str, elements: usize, run: impl Fn()) -> Duration {
         median.as_secs_f64() * 1e3,
         elements as f64 / median.as_secs_f64()
     );
-    median
 }
 
 /// Shard sweep: hit-dominated skewed traffic, where throughput is
@@ -125,57 +118,6 @@ fn bench_shards() {
     }
 }
 
-/// Policy sweep under a budget: mostly-skewed cheap keys plus a
-/// periodically re-touched set of expensive keys that does not fit
-/// LRU's recency horizon. Cost-aware keeps the expensive entries
-/// (high rebuild-cost per resident byte) and should win; LRU churns
-/// them out between touches and pays the rebuilds.
-fn bench_policies() {
-    const OPS: usize = 1_000;
-    const CHEAP_KEYS: u64 = 192;
-    const EXPENSIVE_KEYS: u64 = 32;
-    const VALUE_BYTES: usize = 16 * 1024;
-    // Holds ~64 of the 224 distinct values.
-    const BUDGET: u64 = 1 << 20;
-    const CHEAP_WORK: u64 = 1_000;
-    const EXPENSIVE_WORK: u64 = 300_000;
-
-    let [lru, cost_aware] = [
-        ("lru", EvictionPolicy::Lru),
-        ("cost_aware", EvictionPolicy::CostAware),
-    ]
-    .map(|(name, policy)| {
-        let name = format!("cache_policies/budgeted_8threads/{name}");
-        bench(&name, THREADS * OPS, || {
-            let config = CacheConfig::budgeted(BUDGET).with_policy(policy);
-            run_threads(config, |t, cache| {
-                let mut rng = 0x9e37_79b9_u64 ^ (t as u64) << 32;
-                let mut sink = 0u64;
-                for op in 0..OPS {
-                    // Every 16th op revisits the expensive set
-                    // round-robin; the rest draw skewed cheap keys.
-                    let (key, work) = if op % 16 == 15 {
-                        (
-                            CHEAP_KEYS + (op as u64 / 16) % EXPENSIVE_KEYS,
-                            EXPENSIVE_WORK,
-                        )
-                    } else {
-                        (skewed(&mut rng, CHEAP_KEYS), CHEAP_WORK)
-                    };
-                    let v = cache.get_or_build(&key, || build_value(key, work, VALUE_BYTES));
-                    sink = sink.wrapping_add(v[0] as u64);
-                }
-                std::hint::black_box(sink);
-            });
-        })
-    });
-    println!(
-        "cost_aware/lru throughput: {:.2}x",
-        lru.as_secs_f64() / cost_aware.as_secs_f64()
-    );
-}
-
 fn main() {
     bench_shards();
-    bench_policies();
 }

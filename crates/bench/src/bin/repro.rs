@@ -34,10 +34,9 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use lgr_bench::experiments::{self, Experiment};
-use lgr_cachesim::SimConfig;
 use lgr_engine::{
-    parse_bytes, AppSpec, DatasetSpec, Session, SessionConfig, SpecError, TechniqueSpec,
-    BUILTIN_DATASETS, BUILTIN_TECHNIQUES, DATASET_SPEC_FORMS,
+    AppSpec, DatasetSpec, Session, SessionFlags, SpecError, TechniqueSpec, BUILTIN_DATASETS,
+    BUILTIN_TECHNIQUES, DATASET_SPEC_FORMS,
 };
 
 /// Exit code for unknown experiment/technique/app/dataset names
@@ -49,33 +48,18 @@ fn main() -> ExitCode {
     // Collect flags first, then build the config, so the outcome does
     // not depend on argument order (`--roots 4 --quick` must not have
     // `--quick` clobber the roots override).
-    let mut quick = false;
-    let mut verbose = false;
+    let mut session_flags = SessionFlags::default();
     let mut list = false;
-    let mut scale_exp: Option<u32> = None;
-    let mut roots: Option<usize> = None;
     let mut techniques: Option<Vec<TechniqueSpec>> = None;
     let mut apps: Option<Vec<AppSpec>> = None;
     let mut datasets: Option<Vec<DatasetSpec>> = None;
     let mut dataset_cache: Option<std::path::PathBuf> = None;
-    let mut sim: Option<SimConfig> = None;
-    let mut cache_bytes: Option<u64> = None;
     let mut cache_stats = false;
     let mut names: Vec<String> = Vec::new();
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--quick" => quick = true,
-            "--verbose" | "-v" => verbose = true,
             "--list" => list = true,
-            "--scale" => match iter.next().and_then(|s| s.parse::<u32>().ok()) {
-                Some(exp) if (8..=24).contains(&exp) => scale_exp = Some(exp),
-                _ => return usage("--scale needs an exponent in 8..=24"),
-            },
-            "--roots" => match iter.next().and_then(|s| s.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => roots = Some(n),
-                _ => return usage("--roots needs a positive integer"),
-            },
             "--techniques" => match iter.next() {
                 Some(list) => match parse_list::<TechniqueSpec>(&list) {
                     Ok(specs) => techniques = Some(specs),
@@ -101,41 +85,23 @@ fn main() -> ExitCode {
                 Some(dir) if !dir.is_empty() => dataset_cache = Some(dir.into()),
                 _ => return usage("--dataset-cache needs a directory"),
             },
-            "--sim" => match iter.next().map(|s| s.parse::<SimConfig>()) {
-                Some(Ok(parsed)) => sim = Some(parsed),
-                Some(Err(e)) => return usage(&e.to_string()),
-                None => return usage("--sim needs a knob list (cores=8,sockets=2,...)"),
-            },
-            "--cache-bytes" => match iter.next().as_deref().map(parse_bytes) {
-                Some(Ok(n)) if n >= 1 => cache_bytes = Some(n),
-                _ => return usage("--cache-bytes needs a positive size (e.g. 16m, 4096k, 1g)"),
-            },
             "--cache-stats" => cache_stats = true,
             "--help" | "-h" => return usage(""),
-            other if other.starts_with('-') => return usage(&format!("unknown option {other}")),
-            other => names.push(other.to_owned()),
+            other => match session_flags.parse(other, &mut iter) {
+                Ok(Some(_)) => {}
+                Ok(None) if other.starts_with('-') => {
+                    return usage(&format!("unknown option {other}"))
+                }
+                Ok(None) => names.push(other.to_owned()),
+                Err(e) => return usage(&e),
+            },
         }
     }
     if list {
         print_catalog();
         return ExitCode::SUCCESS;
     }
-    let mut cfg = if quick {
-        SessionConfig::quick()
-    } else {
-        SessionConfig::default()
-    };
-    if let Some(exp) = scale_exp {
-        cfg = cfg.with_scale_exp(exp);
-    }
-    if let Some(n) = roots {
-        cfg.roots = n;
-    }
-    if let Some(s) = sim {
-        cfg.sim = s;
-    }
-    cfg.cache_bytes = cache_bytes;
-    cfg.verbose = verbose;
+    let mut cfg = session_flags.config();
     cfg.techniques = techniques;
     cfg.apps = apps;
     cfg.datasets = datasets;

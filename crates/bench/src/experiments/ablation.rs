@@ -59,7 +59,7 @@ pub fn run(h: &Session) -> String {
             let spec = TechniqueSpec::dbg_groups(k);
             let timed = h.reorder_with_kind(&graph, &spec, AppId::Pr.reorder_degree());
             let grouping = Dbg::with_hot_groups(k).spec_for(graph.average_degree());
-            let reordered = graph.apply_permutation(&timed.permutation);
+            let reordered = graph.apply_permutation_with(&timed.permutation, h.pool());
             let cycles = h.simulate_pr(&reordered) as f64;
             t.row(vec![
                 spec.to_string(),

@@ -70,7 +70,7 @@ pub fn run(h: &Session) -> String {
     let first = h.reorder_with_kind(&base_graph, &dbg, kind);
     once_reorder += h.wall_to_cycles(ds, first.elapsed);
     periodic_reorder += h.wall_to_cycles(ds, first.elapsed);
-    let mut once_perm = first.permutation.clone();
+    let once_perm = first.permutation.clone();
     let mut periodic_perm = first.permutation;
 
     for batch_idx in 0..num_batches {
@@ -87,11 +87,9 @@ pub fn run(h: &Session) -> String {
 
         for _ in 0..queries_per_batch {
             never += h.simulate_pr(&snapshot);
-            once += h.simulate_pr(&snapshot.apply_permutation(&once_perm));
-            periodic += h.simulate_pr(&snapshot.apply_permutation(&periodic_perm));
+            once += h.simulate_pr(&snapshot.apply_permutation_with(&once_perm, h.pool()));
+            periodic += h.simulate_pr(&snapshot.apply_permutation_with(&periodic_perm, h.pool()));
         }
-        // The "once" permutation is never refreshed.
-        once_perm = once_perm.clone();
     }
 
     let giga = |c: u64| format!("{:.2}", c as f64 / 1e9);

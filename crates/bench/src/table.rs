@@ -48,11 +48,6 @@ impl TextTable {
     pub fn note(&mut self, text: &str) {
         self.notes.push(text.to_owned());
     }
-
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
 }
 
 /// Formats a float as a percentage with one decimal, e.g. `16.8`.

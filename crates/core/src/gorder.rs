@@ -117,23 +117,6 @@ impl Gorder {
             hub_cap: 512,
         }
     }
-
-    /// Overrides the window size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is 0.
-    pub fn with_window(mut self, window: usize) -> Self {
-        assert!(window >= 1);
-        self.window = window;
-        self
-    }
-
-    /// Overrides the hub expansion cap.
-    pub fn with_hub_cap(mut self, cap: u32) -> Self {
-        self.hub_cap = cap;
-        self
-    }
 }
 
 impl Default for Gorder {

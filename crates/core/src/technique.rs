@@ -27,7 +27,7 @@ pub trait ReorderingTechnique {
     ///
     /// Techniques built on the grouping framework run degree
     /// extraction and stable binning on the pool; inherently
-    /// sequential ones (Gorder, BFS, RCM, the random probes) ignore it.
+    /// sequential ones (Gorder, the random probes) ignore it.
     /// Every implementation must return the same permutation for every
     /// pool size: the pool only changes *how fast* a relabeling is
     /// computed, never *which*.

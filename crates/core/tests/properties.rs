@@ -4,8 +4,8 @@ use proptest::prelude::*;
 
 use lgr_core::framework::{group_reorder, group_reorder_with, GroupingSpec};
 use lgr_core::{
-    BfsOrder, CuthillMcKee, Dbg, Gorder, HubCluster, HubClusterOriginal, HubSort, HubSortOriginal,
-    Identity, Pipeline, RandomCacheBlock, RandomVertex, ReorderingTechnique, Sort,
+    Dbg, Gorder, HubCluster, HubClusterOriginal, HubSort, HubSortOriginal, Identity, Pipeline,
+    RandomCacheBlock, RandomVertex, ReorderingTechnique, Sort,
 };
 use lgr_graph::{average_degree, Csr, DegreeKind, EdgeList, Permutation, VertexId};
 use lgr_parallel::Pool;
@@ -186,8 +186,6 @@ proptest! {
                 &RandomVertex::new(7),
                 &RandomCacheBlock::new(2, 7),
                 &Identity,
-                &BfsOrder::new(),
-                &CuthillMcKee::reversed(),
                 &gorder_then_dbg,
             ] {
                 let seq = t.reorder(&g, kind);

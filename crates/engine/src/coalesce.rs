@@ -21,9 +21,11 @@
 //!
 //! A cache built with [`CacheConfig::budget_bytes`] set charges every
 //! published value against the budget using its
-//! [`CacheWeight`] and evicts published
-//! entries when the total exceeds it, under a pluggable
-//! [`EvictionPolicy`]. Eviction composes with coalescing:
+//! [`CacheWeight`] and evicts the least-recently-used published
+//! entries when the total exceeds it ([`EvictionPolicy::Lru`]).
+//! Recency is a logical clock stamped on every hit and publish, never
+//! a wall-clock reading, so the same request sequence evicts the same
+//! entries on every run. Eviction composes with coalescing:
 //!
 //! * an in-flight `Building` slot is **never** evictable (only
 //!   published values are candidates);
@@ -43,7 +45,6 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use lgr_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use lgr_sync::{rank, Condvar, Mutex, MutexGuard, Rank, RwLock};
@@ -68,40 +69,16 @@ const SLOT_RANK: Rank = rank(200, "engine.cache.slot");
 /// extra lock tables.
 pub const DEFAULT_SHARDS: usize = 16;
 
-/// How a budgeted cache picks eviction victims.
+/// How a budgeted cache picks eviction victims. There is one policy:
+/// evict the least-recently-used published entry. Victims follow
+/// only the cache's logical clock, so the same request sequence
+/// evicts the same entries on every run, and the model checker
+/// explores exactly the policy that runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvictionPolicy {
     /// Evict the least-recently-used published entry.
-    Lru,
-    /// Evict the entry with the lowest *rebuild cost per resident
-    /// byte* (measured build time / weight), breaking ties by
-    /// recency. A reordered CSR that took 2 ms to relabel is evicted
-    /// long before a Gorder permutation that took 30 s, even when the
-    /// permutation is smaller — the byte freed is the same, the cost
-    /// to re-create it is not. This is the default: in the `cache`
-    /// benchmark's budgeted scan-resistant workload (hot cheap keys
-    /// churning past a periodically re-touched expensive set) it
-    /// sustains 2–4x LRU's op throughput by keeping the expensive
-    /// entries resident (3.2–3.8x when this default was chosen,
-    /// 2.1–2.6x on a 2-vCPU KVM host), and rebuild costs in graph
-    /// workloads *are* that skewed — see the paper's amortization
-    /// argument for reordering cost vs reuse.
     #[default]
-    CostAware,
-}
-
-impl std::str::FromStr for EvictionPolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "lru" => Ok(EvictionPolicy::Lru),
-            "cost" | "cost-aware" | "costaware" => Ok(EvictionPolicy::CostAware),
-            other => Err(format!(
-                "unknown eviction policy `{other}` (valid: lru, cost)"
-            )),
-        }
-    }
+    Lru,
 }
 
 /// Construction-time knobs for a [`ShardedCache`].
@@ -110,8 +87,6 @@ pub struct CacheConfig {
     /// Byte budget for published values; `None` = unbounded (the
     /// historical behavior).
     pub budget_bytes: Option<u64>,
-    /// Replacement policy used when the budget is exceeded.
-    pub policy: EvictionPolicy,
     /// Shard count (clamped to at least 1).
     pub shards: usize,
 }
@@ -120,7 +95,6 @@ impl Default for CacheConfig {
     fn default() -> Self {
         CacheConfig {
             budget_bytes: None,
-            policy: EvictionPolicy::default(),
             shards: DEFAULT_SHARDS,
         }
     }
@@ -132,18 +106,12 @@ impl CacheConfig {
         Self::default()
     }
 
-    /// A budgeted configuration with the default policy and shards.
+    /// A budgeted configuration with the default shard count.
     pub fn budgeted(bytes: u64) -> Self {
         CacheConfig {
             budget_bytes: Some(bytes),
             ..Self::default()
         }
-    }
-
-    /// This configuration with the given policy.
-    pub fn with_policy(mut self, policy: EvictionPolicy) -> Self {
-        self.policy = policy;
-        self
     }
 
     /// This configuration with the given shard count.
@@ -194,13 +162,8 @@ enum SlotState<V> {
     Empty,
     /// One thread is running the builder; others wait on the condvar.
     Building,
-    /// The published result plus its byte weight and measured build
-    /// cost (the cost-aware policy's inputs).
-    Ready {
-        value: Arc<V>,
-        bytes: u64,
-        cost: Duration,
-    },
+    /// The published result plus its byte weight.
+    Ready { value: Arc<V>, bytes: u64 },
 }
 
 struct Slot<V> {
@@ -303,7 +266,7 @@ where
         Self::with_config(CacheConfig::default())
     }
 
-    /// A cache with explicit budget/policy/shard configuration.
+    /// A cache with explicit budget and shard configuration.
     pub fn with_config(cfg: CacheConfig) -> Self {
         let shards = cfg.shards.max(1);
         ShardedCache {
@@ -503,15 +466,13 @@ where
             armed: true,
         };
         // No shard or slot lock is held here (both guards dropped
-        // above): the clock read and the builder itself run unlocked.
-        let start = Instant::now();
+        // above): the builder runs unlocked.
         match build() {
             Ok(v) => {
-                let cost = start.elapsed();
                 let v = Arc::new(v);
                 let bytes = v.weight_bytes() as u64;
                 guard.armed = false;
-                self.publish(key, &slot, Arc::clone(&v), bytes, cost);
+                self.publish(key, &slot, Arc::clone(&v), bytes);
                 self.enforce_budget();
                 Ok(v)
             }
@@ -530,7 +491,7 @@ where
     /// and if the key has no map entry at all the slot is re-linked;
     /// but if another (newer) slot owns the map entry, ours stays
     /// detached and unaccounted — the newer build owns the residency.
-    fn publish(&self, key: &K, slot: &Arc<Slot<V>>, value: Arc<V>, bytes: u64, cost: Duration) {
+    fn publish(&self, key: &K, slot: &Arc<Slot<V>>, value: Arc<V>, bytes: u64) {
         let shard = self.shard(key);
         let mut map = shard.write();
         let accounted = match map.get(key) {
@@ -546,7 +507,6 @@ where
         *slot.lock() = SlotState::Ready {
             value,
             bytes: if accounted { bytes } else { 0 },
-            cost,
         };
         slot.changed.notify_all();
         if accounted {
@@ -564,10 +524,10 @@ where
     }
 
     /// Evicts published entries until resident bytes fit the budget
-    /// (no-op for unbounded caches). Victims are chosen by the
-    /// configured policy over *published, in-map* entries only; a
-    /// `Building` slot is never a candidate, and since builders hold
-    /// no lock while building, this never contends with a build.
+    /// (no-op for unbounded caches). Victims are the least recently
+    /// used *published, in-map* entries; a `Building` slot is never a
+    /// candidate, and since builders hold no lock while building, this
+    /// never contends with a build.
     fn enforce_budget(&self) {
         let Some(budget) = self.cfg.budget_bytes else {
             return;
@@ -584,7 +544,7 @@ where
             let shard = &self.shards[shard_idx];
             let mut map = shard.write();
             // Re-validate under the write lock: the entry may have
-            // been evicted by a racing thread since we scored it.
+            // been evicted by a racing thread since we picked it.
             let Some(slot) = map.get(&key) else { continue };
             let bytes = match &*slot.lock() {
                 SlotState::Ready { bytes, .. } => *bytes,
@@ -605,36 +565,25 @@ where
         }
     }
 
-    /// The current policy's best victim: `(shard, key)` of the
-    /// published entry with the lowest score.
+    /// The least-recently-used victim: `(shard, key)` of the
+    /// published entry with the smallest `last_used` tick.
     fn pick_victim(&self) -> Option<(usize, K)> {
-        let mut best: Option<(f64, u64, usize, K)> = None;
+        let mut best: Option<(u64, usize, K)> = None;
         for (idx, shard) in self.shards.iter().enumerate() {
             let map = shard.read();
             for (key, slot) in map.iter() {
-                let state = slot.lock();
-                let SlotState::Ready { bytes, cost, .. } = &*state else {
+                if !matches!(&*slot.lock(), SlotState::Ready { .. }) {
                     continue;
-                };
+                }
                 // ordering: Relaxed — heuristic recency stamp; a
                 // slightly stale tick only shifts the victim choice.
                 let tick = slot.last_used.load(Ordering::Relaxed);
-                let score = match self.cfg.policy {
-                    EvictionPolicy::Lru => tick as f64,
-                    // Nanoseconds of rebuild work bought back per
-                    // byte freed; cheapest-per-byte goes first.
-                    EvictionPolicy::CostAware => cost.as_nanos() as f64 / (*bytes).max(1) as f64,
-                };
-                let better = match &best {
-                    None => true,
-                    Some((s, t, _, _)) => score < *s || (score == *s && tick < *t),
-                };
-                if better {
-                    best = Some((score, tick, idx, key.clone()));
+                if best.as_ref().is_none_or(|(t, _, _)| tick < *t) {
+                    best = Some((tick, idx, key.clone()));
                 }
             }
         }
-        best.map(|(_, _, idx, key)| (idx, key))
+        best.map(|(_, idx, key)| (idx, key))
     }
 }
 
@@ -689,6 +638,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Barrier;
+    use std::time::Duration;
 
     #[test]
     fn hit_after_build_shares_one_arc() {
@@ -724,7 +674,7 @@ mod tests {
                         let v = cache.get_or_build(&key, || {
                             builds.fetch_add(1, Ordering::SeqCst);
                             // Widen the build window so waiters pile up.
-                            std::thread::sleep(std::time::Duration::from_millis(10));
+                            std::thread::sleep(Duration::from_millis(10));
                             key * 100
                         });
                         assert_eq!(*v, key * 100);
@@ -837,9 +787,8 @@ mod tests {
     #[test]
     fn lru_evicts_the_coldest_entry() {
         let value_bytes = (std::mem::size_of::<Vec<u8>>() + 512) as u64;
-        let cache: ShardedCache<u8, Vec<u8>> = ShardedCache::with_config(
-            CacheConfig::budgeted(3 * value_bytes).with_policy(EvictionPolicy::Lru),
-        );
+        let cache: ShardedCache<u8, Vec<u8>> =
+            ShardedCache::with_config(CacheConfig::budgeted(3 * value_bytes));
         for k in 0..3u8 {
             cache.get_or_build(&k, || vec![k; 512]);
         }
@@ -849,30 +798,6 @@ mod tests {
         cache.get_or_build(&3, || vec![3; 512]);
         assert!(cache.get(&2).is_none(), "coldest entry evicted");
         assert!(cache.get(&0).is_some() && cache.get(&1).is_some() && cache.get(&3).is_some());
-    }
-
-    #[test]
-    fn cost_aware_keeps_expensive_entries() {
-        let value_bytes = (std::mem::size_of::<Vec<u8>>() + 512) as u64;
-        let cache: ShardedCache<u8, Vec<u8>> = ShardedCache::with_config(
-            CacheConfig::budgeted(3 * value_bytes).with_policy(EvictionPolicy::CostAware),
-        );
-        // Key 0 is expensive to rebuild; 1 and 2 are instant.
-        cache.get_or_build(&0, || {
-            std::thread::sleep(Duration::from_millis(50));
-            vec![0; 512]
-        });
-        cache.get_or_build(&1, || vec![1; 512]);
-        cache.get_or_build(&2, || vec![2; 512]);
-        // Insert two more cheap values: the expensive entry survives
-        // both evictions even though it is the least recently used.
-        cache.get_or_build(&3, || vec![3; 512]);
-        cache.get_or_build(&4, || vec![4; 512]);
-        assert!(
-            cache.get(&0).is_some(),
-            "the expensive-to-rebuild entry must be retained"
-        );
-        assert_eq!(cache.stats().evictions, 2);
     }
 
     #[test]
@@ -900,18 +825,5 @@ mod tests {
         }
         let v = slow.join().unwrap();
         assert_eq!(*v, vec![9u8; 512]);
-    }
-
-    #[test]
-    fn eviction_policy_parses_from_strings() {
-        assert_eq!(
-            "lru".parse::<EvictionPolicy>().unwrap(),
-            EvictionPolicy::Lru
-        );
-        assert_eq!(
-            "cost".parse::<EvictionPolicy>().unwrap(),
-            EvictionPolicy::CostAware
-        );
-        assert!("mru".parse::<EvictionPolicy>().is_err());
     }
 }

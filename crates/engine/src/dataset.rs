@@ -192,11 +192,6 @@ impl DatasetSpec {
         DatasetId::NO_SKEW.into_iter().map(Self::builtin).collect()
     }
 
-    /// All ten built-in datasets.
-    pub fn all_builtin() -> Vec<DatasetSpec> {
-        DatasetId::ALL.into_iter().map(Self::builtin).collect()
-    }
-
     /// The built-in analogue this spec names, if any.
     pub fn dataset_id(&self) -> Option<DatasetId> {
         match &self.source {

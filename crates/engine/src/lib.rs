@@ -30,7 +30,7 @@
 //!   execution (see the [`session`] module docs for the threading
 //!   model). [`SessionConfig::cache_bytes`](session::SessionConfig)
 //!   bounds each cache's resident bytes ([`CacheWeight`]-accounted,
-//!   [`EvictionPolicy`]-governed, observable via
+//!   evicted least-recently-used first, observable via
 //!   [`Session::cache_stats`](session::Session::cache_stats)); the
 //!   default is unbounded.
 //!
@@ -72,7 +72,9 @@ pub use dataset::{
 };
 pub use registry::{TechniqueBuilder, TechniqueRegistry};
 pub use report::Report;
-pub use session::{parse_bytes, Job, RunStats, Session, SessionCacheStats, SessionConfig};
+pub use session::{
+    parse_bytes, Job, RunStats, Session, SessionCacheStats, SessionConfig, SessionFlags,
+};
 pub use spec::{
     SpecError, TechniqueAtom, TechniqueSpec, BUILTIN_TECHNIQUES, DEFAULT_DBG_HOT_GROUPS,
     DEFAULT_SEED,

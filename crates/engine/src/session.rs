@@ -100,15 +100,15 @@ pub struct SessionConfig {
     /// Byte budget applied to **each** in-memory session cache
     /// (graphs, permutations, reordered CSRs, roots, run stats, wall
     /// times); `None` = unbounded, the historical behavior. When set,
-    /// published entries are evicted under [`SessionConfig::cache_policy`]
+    /// the least-recently-used published entries are evicted
     /// whenever a cache's resident bytes exceed the budget, and
     /// evicted keys rebuild deterministically on their next request
     /// (only the re-measured `reorder_ms` wall-clock field can
     /// differ; [`Report::canonicalized`](crate::Report::canonicalized)
     /// output is byte-identical).
     pub cache_bytes: Option<u64>,
-    /// Replacement policy for budgeted caches (ignored when
-    /// [`SessionConfig::cache_bytes`] is `None`).
+    /// Replacement policy for budgeted caches. [`EvictionPolicy::Lru`]
+    /// is its only value, so every budgeted cache evicts by recency.
     pub cache_policy: EvictionPolicy,
 }
 
@@ -179,6 +179,115 @@ pub fn parse_bytes(s: &str) -> Result<u64, String> {
         .ok()
         .and_then(|n| n.checked_mul(mult))
         .ok_or_else(|| format!("not a byte size: `{s}`"))
+}
+
+/// The command-line flags that select a [`SessionConfig`], shared by
+/// `repro` and `lgr-serve serve|local`. Flags are collected first and
+/// applied together by [`SessionFlags::config`], so the outcome does
+/// not depend on argument order (`--roots 4 --quick` keeps the roots
+/// override).
+#[derive(Debug, Default)]
+pub struct SessionFlags {
+    quick: bool,
+    verbose: bool,
+    scale_exp: Option<u32>,
+    roots: Option<usize>,
+    sim: Option<SimConfig>,
+    cache_bytes: Option<u64>,
+}
+
+impl SessionFlags {
+    /// Every flag [`SessionFlags::parse`] accepts, by the name it
+    /// returns (`-v` is `--verbose`).
+    pub const NAMES: [&'static str; 6] = [
+        "--quick",
+        "--scale",
+        "--roots",
+        "--sim",
+        "--cache-bytes",
+        "--verbose",
+    ];
+
+    /// Consumes `arg`, and its operand from `rest`, if it is a session
+    /// flag: `Ok(Some(name))` names the flag, `Ok(None)` leaves any
+    /// other argument to the caller.
+    ///
+    /// # Errors
+    ///
+    /// The usage message for a missing or malformed operand.
+    pub fn parse(
+        &mut self,
+        arg: &str,
+        rest: &mut impl Iterator<Item = String>,
+    ) -> Result<Option<&'static str>, String> {
+        let name = match arg {
+            "--quick" => {
+                self.quick = true;
+                "--quick"
+            }
+            "--verbose" | "-v" => {
+                self.verbose = true;
+                "--verbose"
+            }
+            "--scale" => match rest.next().and_then(|s| s.parse::<u32>().ok()) {
+                Some(exp) if (8..=24).contains(&exp) => {
+                    self.scale_exp = Some(exp);
+                    "--scale"
+                }
+                _ => return Err("--scale needs an exponent in 8..=24".to_owned()),
+            },
+            "--roots" => match rest.next().and_then(|s| s.parse::<usize>().ok()) {
+                Some(n) if n >= 1 => {
+                    self.roots = Some(n);
+                    "--roots"
+                }
+                _ => return Err("--roots needs a positive integer".to_owned()),
+            },
+            "--sim" => match rest.next().map(|s| s.parse::<SimConfig>()) {
+                Some(Ok(parsed)) => {
+                    self.sim = Some(parsed);
+                    "--sim"
+                }
+                Some(Err(e)) => return Err(e.to_string()),
+                None => return Err("--sim needs a knob list (cores=8,sockets=2,...)".to_owned()),
+            },
+            "--cache-bytes" => match rest.next().as_deref().map(parse_bytes) {
+                Some(Ok(n)) if n >= 1 => {
+                    self.cache_bytes = Some(n);
+                    "--cache-bytes"
+                }
+                _ => {
+                    return Err(
+                        "--cache-bytes needs a positive size (e.g. 16m, 4096k, 1g)".to_owned()
+                    )
+                }
+            },
+            _ => return Ok(None),
+        };
+        Ok(Some(name))
+    }
+
+    /// The configuration these flags select: [`SessionConfig::quick`]
+    /// under `--quick`, else the default, with each override applied.
+    pub fn config(&self) -> SessionConfig {
+        let mut cfg = if self.quick {
+            SessionConfig::quick()
+        } else {
+            SessionConfig::default()
+        };
+        if let Some(exp) = self.scale_exp {
+            cfg = cfg.with_scale_exp(exp);
+        }
+        if let Some(n) = self.roots {
+            cfg.roots = n;
+        }
+        if let Some(s) = self.sim {
+            cfg.sim = s;
+        }
+        cfg.cache_bytes = self.cache_bytes;
+        cfg.verbose = self.verbose;
+        cfg
+    }
 }
 
 /// One traced run's outcome.
@@ -400,7 +509,6 @@ impl Session {
     fn with_pool(cfg: SessionConfig, registry: TechniqueRegistry, pool: Pool) -> Self {
         let cache_cfg = CacheConfig {
             budget_bytes: cfg.cache_bytes,
-            policy: cfg.cache_policy,
             ..CacheConfig::default()
         };
         Session {
@@ -1277,6 +1385,91 @@ mod tests {
         for bad in ["", "k", "K", "g", "-1k", "9x", "999999999999999999g"] {
             assert!(parse_bytes(bad).is_err(), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn session_flags_apply_in_any_order() {
+        let mut flags = SessionFlags::default();
+        let mut args = [
+            "--roots",
+            "4",
+            "-v",
+            "--cache-bytes",
+            "64k",
+            "--quick",
+            "fig6",
+        ]
+        .map(str::to_owned)
+        .into_iter();
+        let mut names = Vec::new();
+        while let Some(arg) = args.next() {
+            match flags.parse(&arg, &mut args) {
+                Ok(Some(name)) => names.push(name),
+                Ok(None) => assert_eq!(arg, "fig6"),
+                Err(e) => panic!("{arg}: {e}"),
+            }
+        }
+        assert_eq!(names, ["--roots", "--verbose", "--cache-bytes", "--quick"]);
+        assert!(names.iter().all(|n| SessionFlags::NAMES.contains(n)));
+        let cfg = flags.config();
+        let quick = SessionConfig::quick();
+        assert_eq!((cfg.roots, cfg.verbose), (4, true));
+        assert_eq!(cfg.cache_bytes, Some(64 << 10));
+        assert_eq!(cfg.scale.sd_vertices, quick.scale.sd_vertices);
+
+        for (flag, operand, message) in [
+            ("--scale", Some("99"), "--scale needs an exponent in 8..=24"),
+            ("--roots", Some("0"), "--roots needs a positive integer"),
+            (
+                "--sim",
+                None,
+                "--sim needs a knob list (cores=8,sockets=2,...)",
+            ),
+            (
+                "--cache-bytes",
+                Some("0"),
+                "--cache-bytes needs a positive size (e.g. 16m, 4096k, 1g)",
+            ),
+        ] {
+            let mut rest = operand.map(str::to_owned).into_iter();
+            let err = SessionFlags::default().parse(flag, &mut rest);
+            assert_eq!(err, Err(message.to_owned()));
+        }
+    }
+
+    #[test]
+    fn budgeted_sessions_evict_the_same_entries_every_run() {
+        // The job list of CI's cache-budget smoke, run in sequence the
+        // way `lgr-serve local` runs it: 64 KiB per cache holds fewer
+        // graphs than the list touches.
+        const JOBS: [(&str, &str, &str); 10] = [
+            ("dbg", "pr:iters=2", "kr:sd=8"),
+            ("dbg", "pr:iters=2", "kr:sd=9"),
+            ("dbg", "pr:iters=2", "kr:sd=10"),
+            ("dbg", "pr:iters=2", "uni:sd=8"),
+            ("dbg", "pr:iters=2", "uni:sd=9"),
+            ("dbg", "pr:iters=2", "uni:sd=10"),
+            ("dbg", "pr:iters=2", "kr:sd=8"),
+            ("dbg", "pr:iters=2", "uni:sd=9"),
+            ("sort", "sssp", "kr:sd=10"),
+            ("dbg", "pr:iters=2", "kr:sd=10"),
+        ];
+        let run = || {
+            let mut cfg = SessionConfig::quick();
+            cfg.cache_bytes = Some(64 << 10);
+            let s = Session::new(cfg);
+            for (technique, app, dataset) in JOBS {
+                let ds: DatasetSpec = dataset.parse().unwrap();
+                let job =
+                    Job::new(app.parse().unwrap(), ds).with_technique(technique.parse().unwrap());
+                s.try_graph(&job.dataset).unwrap();
+                s.report(&job);
+            }
+            s.cache_stats()
+        };
+        let first = run();
+        assert!(first.total().evictions > 0, "{first}");
+        assert_eq!(first, run());
     }
 
     #[test]

@@ -402,16 +402,6 @@ impl TechniqueSpec {
         ]
     }
 
-    /// The four skew-aware techniques (main evaluation minus Gorder).
-    pub fn skew_aware() -> Vec<TechniqueSpec> {
-        vec![
-            Self::sort(),
-            Self::hubsort(),
-            Self::hubcluster(),
-            Self::dbg(),
-        ]
-    }
-
     /// Composes `self` with `next` (self first, then `next` on the
     /// reordered graph).
     pub fn then(mut self, next: TechniqueSpec) -> TechniqueSpec {

@@ -8,16 +8,14 @@
 //! that produced them; a schedule where every thread blocks is
 //! reported as a deadlock — the missed-wakeup oracle.
 //!
-//! The scenarios use [`EvictionPolicy::Lru`], never the default
-//! cost-aware policy: cost scores divide by measured wall-clock build
-//! time, and wall-clock is not controlled by the scheduler, so
-//! cost-aware victim choice would differ between an execution and its
-//! replay.
+//! Eviction follows the cache's logical clock alone (least recently
+//! used, the only policy), so a budgeted scenario's victim choice is
+//! a pure function of the schedule and replays exactly.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use lgr_engine::coalesce::{CacheConfig, EvictionPolicy, ShardedCache};
+use lgr_engine::coalesce::{CacheConfig, ShardedCache};
 use lgr_sync::model;
 
 /// Weight of a cached `Vec<u8>` under `CacheWeight` (header + len),
@@ -107,9 +105,7 @@ fn publish_vs_evict_accounting_never_underflows() {
         // after the first forces an eviction concurrent with the
         // other thread's publish path.
         let cache: Arc<ShardedCache<u8, Vec<u8>>> = Arc::new(ShardedCache::with_config(
-            CacheConfig::budgeted(vec_weight(8))
-                .with_policy(EvictionPolicy::Lru)
-                .with_shards(1),
+            CacheConfig::budgeted(vec_weight(8)).with_shards(1),
         ));
         let t = {
             let cache = Arc::clone(&cache);
@@ -137,9 +133,7 @@ fn publish_vs_evict_accounting_never_underflows() {
 fn evicted_entrys_holder_still_reads_a_valid_arc() {
     let report = model::check(|| {
         let cache: Arc<ShardedCache<u8, Vec<u8>>> = Arc::new(ShardedCache::with_config(
-            CacheConfig::budgeted(vec_weight(8))
-                .with_policy(EvictionPolicy::Lru)
-                .with_shards(1),
+            CacheConfig::budgeted(vec_weight(8)).with_shards(1),
         ));
         // Publish key 1, then race: one thread re-reads 1 while the
         // other publishes 2, whose budget enforcement evicts 1.

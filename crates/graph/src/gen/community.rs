@@ -91,13 +91,6 @@ impl CommunityConfig {
         self
     }
 
-    /// Sets the Pareto shape of the hub tail.
-    pub fn with_degree_exponent(mut self, exponent: f64) -> Self {
-        assert!(exponent > 0.5, "tail shape must exceed 0.5");
-        self.degree_exponent = exponent;
-        self
-    }
-
     /// Sets the skew targets: `fraction` of vertices forming the hub
     /// tail, owning `mass` of all edge endpoints.
     ///
@@ -109,20 +102,6 @@ impl CommunityConfig {
         assert!((0.0..1.0).contains(&mass) && mass > 0.0);
         self.hub_fraction = fraction;
         self.hub_mass = mass;
-        self
-    }
-
-    /// Sets the mean community size.
-    pub fn with_community_size(mut self, size: usize) -> Self {
-        assert!(size >= 1);
-        self.avg_community_size = size;
-        self
-    }
-
-    /// Sets the intra-community edge probability.
-    pub fn with_intra_prob(mut self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p));
-        self.intra_prob = p;
         self
     }
 

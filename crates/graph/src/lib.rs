@@ -36,7 +36,6 @@ pub mod degree;
 pub mod edgelist;
 pub mod evolve;
 pub mod gen;
-pub mod metrics;
 pub mod permutation;
 pub mod stats;
 

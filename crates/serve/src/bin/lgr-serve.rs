@@ -10,21 +10,24 @@
 //! default. (`local` always allows them: it runs with the invoker's
 //! own filesystem access.)
 //!
-//! Session flags (serve/local):
+//! Session flags (serve/local; parsed by `lgr_engine::SessionFlags`,
+//! so they take the same operands and print the same errors as in
+//! `repro`):
 //!   --quick              tiny graphs (CI smoke scale)
 //!   --scale <exp>        sd dataset gets 2^exp vertices
 //!   --roots <n>          roots per root-dependent app run
 //!   --sim <knobs>        simulator geometry (cores=8,sockets=2,...)
 //!   --cache-bytes <n>    per-cache resident budget (accepts k/m/g
 //!                        suffixes); omit for unbounded caches
-//!   --cache-policy <p>   eviction policy under a budget: `cost`
-//!                        (default, cost-aware) or `lru`
 //!   --verbose            progress logging to stderr
 //! ```
 //!
 //! A long-lived `serve` process without `--cache-bytes` caches every
 //! distinct job forever; give it a budget and ask the server for its
-//! counters by sending the request line `{"stats":"true"}`.
+//! counters by sending the request line `{"stats":"true"}`. A budgeted
+//! cache evicts its least-recently-used entries, so a `local` run of
+//! the same job lines, stats line included, prints the same bytes
+//! every time.
 //!
 //! `serve` binds (port 0 picks an ephemeral port), prints one
 //! `listening on <addr>` line to stdout, and serves forever: each of
@@ -42,8 +45,7 @@ use std::net::TcpListener;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use lgr_cachesim::SimConfig;
-use lgr_engine::{parse_bytes, EvictionPolicy, Session, SessionConfig};
+use lgr_engine::{Session, SessionFlags};
 use lgr_serve::{run_batch, run_local, serve};
 
 fn main() -> ExitCode {
@@ -65,13 +67,7 @@ fn main() -> ExitCode {
     let mut concurrency = 4usize;
     let mut jobs_path: Option<String> = None;
     let mut canonical = false;
-    let mut quick = false;
-    let mut verbose = false;
-    let mut scale_exp: Option<u32> = None;
-    let mut roots: Option<usize> = None;
-    let mut sim: Option<SimConfig> = None;
-    let mut cache_bytes: Option<u64> = None;
-    let mut cache_policy: Option<EvictionPolicy> = None;
+    let mut session_flags = SessionFlags::default();
     // Flags seen, checked against the mode's allowlist below —
     // silently ignoring a mode-irrelevant flag (say `client --quick`)
     // would let the user believe it took effect.
@@ -114,102 +110,35 @@ fn main() -> ExitCode {
                 canonical = true;
                 seen.push("--canonical");
             }
-            "--quick" => {
-                quick = true;
-                seen.push("--quick");
-            }
-            "--verbose" | "-v" => {
-                verbose = true;
-                seen.push("--verbose");
-            }
-            "--scale" => match args.next().and_then(|s| s.parse::<u32>().ok()) {
-                Some(exp) if (8..=24).contains(&exp) => {
-                    scale_exp = Some(exp);
-                    seen.push("--scale");
-                }
-                _ => return usage("--scale needs an exponent in 8..=24"),
-            },
-            "--roots" => match args.next().and_then(|s| s.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => {
-                    roots = Some(n);
-                    seen.push("--roots");
-                }
-                _ => return usage("--roots needs a positive integer"),
-            },
-            "--sim" => match args.next().map(|s| s.parse::<SimConfig>()) {
-                Some(Ok(parsed)) => {
-                    sim = Some(parsed);
-                    seen.push("--sim");
-                }
-                Some(Err(e)) => return usage(&e.to_string()),
-                None => return usage("--sim needs a knob list (cores=8,sockets=2,...)"),
-            },
-            "--cache-bytes" => match args.next().as_deref().map(parse_bytes) {
-                Some(Ok(n)) if n >= 1 => {
-                    cache_bytes = Some(n);
-                    seen.push("--cache-bytes");
-                }
-                _ => return usage("--cache-bytes needs a positive size (e.g. 16m, 4096k, 1g)"),
-            },
-            "--cache-policy" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(p) => {
-                    cache_policy = Some(p);
-                    seen.push("--cache-policy");
-                }
-                None => return usage("--cache-policy needs `lru` or `cost`"),
-            },
             "--help" | "-h" => return usage(""),
-            other => return usage(&format!("unknown option {other}")),
+            other => match session_flags.parse(other, &mut args) {
+                Ok(Some(name)) => seen.push(name),
+                Ok(None) => return usage(&format!("unknown option {other}")),
+                Err(e) => return usage(&e),
+            },
         }
     }
 
     // Each mode accepts only the flags its usage line documents; a
     // flag that would be silently ignored is an error instead.
-    const SESSION_FLAGS: [&str; 7] = [
-        "--quick",
-        "--scale",
-        "--roots",
-        "--sim",
-        "--cache-bytes",
-        "--cache-policy",
-        "--verbose",
-    ];
     let allowed: Vec<&str> = match mode.as_str() {
         "serve" => ["--addr", "--workers", "--allow-files"]
             .into_iter()
-            .chain(SESSION_FLAGS)
+            .chain(SessionFlags::NAMES)
             .collect(),
         "client" => vec!["--addr", "--jobs", "--concurrency", "--canonical"],
         // `local` runs with the invoker's own filesystem access, so
         // file-backed specs are always allowed there (no flag).
         _ => ["--jobs", "--canonical"]
             .into_iter()
-            .chain(SESSION_FLAGS)
+            .chain(SessionFlags::NAMES)
             .collect(),
     };
     if let Some(bad) = seen.iter().find(|f| !allowed.contains(f)) {
         return usage(&format!("{bad} is not valid in {mode} mode"));
     }
 
-    let mut cfg = if quick {
-        SessionConfig::quick()
-    } else {
-        SessionConfig::default()
-    };
-    if let Some(exp) = scale_exp {
-        cfg = cfg.with_scale_exp(exp);
-    }
-    if let Some(n) = roots {
-        cfg.roots = n;
-    }
-    if let Some(s) = sim {
-        cfg.sim = s;
-    }
-    cfg.cache_bytes = cache_bytes;
-    if let Some(p) = cache_policy {
-        cfg.cache_policy = p;
-    }
-    cfg.verbose = verbose;
+    let cfg = session_flags.config();
 
     match mode.as_str() {
         "serve" => {
@@ -326,9 +255,9 @@ fn usage(err: &str) -> ExitCode {
         eprintln!("error: {err}");
     }
     eprintln!(
-        "usage: lgr-serve serve  [--addr <host:port>] [--workers <n>] [--allow-files] [--quick] [--scale <exp>] [--roots <n>] [--sim <knobs>] [--cache-bytes <n[k|m|g]>] [--cache-policy <lru|cost>] [--verbose]\n\
+        "usage: lgr-serve serve  [--addr <host:port>] [--workers <n>] [--allow-files] [--quick] [--scale <exp>] [--roots <n>] [--sim <knobs>] [--cache-bytes <n[k|m|g]>] [--verbose]\n\
          \x20      lgr-serve client --addr <host:port> --jobs <file|-> [--concurrency <m>] [--canonical]\n\
-         \x20      lgr-serve local  --jobs <file|-> [--canonical] [--quick] [--scale <exp>] [--roots <n>] [--sim <knobs>] [--cache-bytes <n[k|m|g]>] [--cache-policy <lru|cost>] [--verbose]"
+         \x20      lgr-serve local  --jobs <file|-> [--canonical] [--quick] [--scale <exp>] [--roots <n>] [--sim <knobs>] [--cache-bytes <n[k|m|g]>] [--verbose]"
     );
     if err.is_empty() {
         ExitCode::SUCCESS

@@ -158,11 +158,12 @@
 //! forever. [`SessionConfig::cache_bytes`](engine::SessionConfig)
 //! gives each cache a byte budget: values report their estimated
 //! resident size through [`CacheWeight`](engine::CacheWeight), and
-//! once a cache's published bytes exceed the budget it evicts — by
-//! measured rebuild-cost per byte under the default
-//! [`EvictionPolicy::CostAware`](engine::EvictionPolicy), or plain
-//! recency under `Lru`. In-flight builds are never evicted, and a
-//! rebuilt entry answers with canonically identical report bytes.
+//! once a cache's published bytes exceed the budget it evicts its
+//! least-recently-used entries ([`EvictionPolicy::Lru`](engine::EvictionPolicy::Lru),
+//! the only policy). Recency is a logical clock, not a wall-clock
+//! reading, so a run evicts the same entries every time. In-flight
+//! builds are never evicted, and a rebuilt entry answers with
+//! canonically identical report bytes.
 //! [`Session::cache_stats`](engine::Session::cache_stats) snapshots
 //! per-cache hit/miss/eviction/resident counters (the CLI surfaces:
 //! `repro --cache-stats`, `lgr-serve serve --cache-bytes 256m`, and
