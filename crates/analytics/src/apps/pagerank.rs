@@ -124,6 +124,9 @@ struct Sweep<'a> {
     graph: &'a Csr,
     arrays: &'a PrArrays,
     prev: &'a [f64],
+    /// Every vertex's out-degree: the 4-byte `pr_outdeg` array the
+    /// trace charges, read instead of two 8-byte CSR offsets per edge.
+    out_deg: &'a [u32],
     damping: f64,
     /// Teleport plus dangling share, added to every vertex.
     shift: f64,
@@ -142,7 +145,7 @@ impl Sweep<'_> {
             tracer.read(core, arrays.csr_in.edge, off + i);
             tracer.read(core, arrays.prev, u as usize);
             tracer.read(core, arrays.out_deg, u as usize);
-            sum += self.prev[u as usize] / graph.out_degree(u).max(1) as f64;
+            sum += self.prev[u as usize] / self.out_deg[u as usize].max(1) as f64;
         }
         tracer.write(core, arrays.curr, v);
         tracer.instr(10 + 6 * graph.in_degree(vid) as u64);
@@ -167,6 +170,7 @@ fn iterate(
     }
     let mut prev = vec![1.0 / n as f64; n];
     let mut curr = vec![0.0f64; n];
+    let out_deg = graph.out_degrees();
     let base = (1.0 - cfg.damping) / n as f64;
 
     let mut iterations = 0;
@@ -174,15 +178,18 @@ fn iterate(
         iterations += 1;
         // Dangling mass is redistributed uniformly so ranks stay a
         // distribution.
-        let dangling: f64 = (0..n as VertexId)
-            .filter(|&v| graph.out_degree(v) == 0)
-            .map(|v| prev[v as usize])
+        let dangling: f64 = out_deg
+            .iter()
+            .zip(&prev)
+            .filter(|&(&d, _)| d == 0)
+            .map(|(_, &p)| p)
             .sum();
         let dangling_share = cfg.damping * dangling / n as f64;
         let sweep = Sweep {
             graph,
             arrays,
             prev: &prev,
+            out_deg: &out_deg,
             damping: cfg.damping,
             shift: base + dangling_share,
         };

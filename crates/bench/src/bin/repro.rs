@@ -145,7 +145,7 @@ fn main() -> ExitCode {
     if let Some(selection) = session.config().datasets.clone() {
         for ds in selection.iter().filter(|d| d.is_file_backed()) {
             if let Err(e) = session.try_graph(ds) {
-                eprintln!("error: {e}");
+                stderr(format_args!("error: {e}\n"));
                 return ExitCode::FAILURE;
             }
         }
@@ -154,16 +154,16 @@ fn main() -> ExitCode {
         let start = Instant::now();
         let report = (e.run)(&session);
         println!("{report}");
-        eprintln!(
-            "[repro] {} done in {:.1}s",
+        stderr(format_args!(
+            "[repro] {} done in {:.1}s\n",
             e.name,
             start.elapsed().as_secs_f64()
-        );
+        ));
     }
     if cache_stats {
         // Stderr, like the progress lines: stdout stays the
         // experiment tables and nothing else.
-        eprint!("{}", session.cache_stats());
+        stderr(session.cache_stats());
     }
     ExitCode::SUCCESS
 }
@@ -216,20 +216,27 @@ fn spec_error(err: SpecError) -> ExitCode {
 }
 
 fn unknown_name(err: &str) -> ExitCode {
-    eprintln!("error: {err}");
+    stderr(format_args!("error: {err}\n"));
     ExitCode::from(EXIT_UNKNOWN_NAME)
 }
 
 fn usage(err: &str) -> ExitCode {
     if !err.is_empty() {
-        eprintln!("error: {err}");
+        stderr(format_args!("error: {err}\n"));
     }
-    eprintln!(
-        "usage: repro [--quick] [--scale <exp>] [--roots <n>] [--techniques <list>] [--apps <list>] [--datasets <list>] [--dataset-cache <dir>] [--sim <knobs>] [--cache-bytes <n[k|m|g]>] [--cache-stats] [--list] [--verbose] <experiment>... | all | list"
+    stderr(
+        "usage: repro [--quick] [--scale <exp>] [--roots <n>] [--techniques <list>] [--apps <list>] [--datasets <list>] [--dataset-cache <dir>] [--sim <knobs>] [--cache-bytes <n[k|m|g]>] [--cache-stats] [--list] [--verbose] <experiment>... | all | list\n",
     );
     if err.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
     }
+}
+
+/// Writes `text` to stderr and ignores failure: `eprint!` panics when
+/// stderr is a closed pipe, which would turn exit code 1 into 101.
+fn stderr(text: impl std::fmt::Display) {
+    use std::io::Write as _;
+    let _ = write!(std::io::stderr().lock(), "{text}");
 }

@@ -3,7 +3,7 @@
 //! malformed invocations.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn repro() -> Command {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -423,4 +423,21 @@ fn bad_scale_is_an_error() {
         .output()
         .expect("spawn repro");
     assert!(!out.status.success());
+}
+
+#[test]
+fn flag_errors_exit_1_when_stderr_is_closed() {
+    // The reader goes away before the child writes its error line; a
+    // panicking write would exit 101.
+    for _ in 0..20 {
+        let mut child = repro()
+            .arg("--bogus")
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn repro");
+        drop(child.stderr.take());
+        let status = child.wait().expect("wait for repro");
+        assert_eq!(status.code(), Some(1));
+    }
 }

@@ -37,6 +37,7 @@
 //! shares' statistics sum to the same counts for any pool size. An
 //! untraced run ([`Session::wall`]) pools the kernel itself.
 
+use std::cell::OnceCell;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -706,10 +707,22 @@ impl Session {
         spec: &TechniqueSpec,
         kind: DegreeKind,
     ) -> Arc<TimedReorder> {
+        self.reorder_of(ds, &|| self.graph(ds), spec, kind)
+    }
+
+    /// [`Session::dataset_reorder`], asking `base` for the dataset's
+    /// graph only if the permutation must be built.
+    fn reorder_of(
+        &self,
+        ds: &DatasetSpec,
+        base: &dyn Fn() -> Arc<Csr>,
+        spec: &TechniqueSpec,
+        kind: DegreeKind,
+    ) -> Arc<TimedReorder> {
         let key = (ds.clone(), spec.clone(), Self::canonical_kind(spec, kind));
         let canonical = key.2;
         self.reorders.get_or_build(&key, || {
-            let graph = self.graph(ds);
+            let graph = base();
             self.log(&format!("reordering {} with {}", ds.label(), spec.label()));
             self.reorder_with_kind(&graph, spec, canonical)
         })
@@ -725,23 +738,25 @@ impl Session {
         spec: &TechniqueSpec,
         kind: DegreeKind,
     ) -> Arc<Csr> {
-        let key = (ds.clone(), spec.clone(), Self::canonical_kind(spec, kind));
-        self.reordered.get_or_build(&key, || {
-            let base = self.graph(ds);
-            let timed = self.dataset_reorder(ds, spec, kind);
-            self.log(&format!("rebuilding {} under {}", ds.label(), spec.label()));
-            base.apply_permutation_with(&timed.permutation, &self.pool)
-        })
+        self.reordered_of(ds, &|| self.graph(ds), spec, kind)
     }
 
-    /// The dataset's root candidates (vertices with both in- and
-    /// out-edges), cached.
-    fn root_candidates(&self, ds: &DatasetSpec) -> Arc<Vec<VertexId>> {
-        self.root_candidates.get_or_build(ds, || {
-            let g = self.graph(ds);
-            (0..g.num_vertices() as VertexId)
-                .filter(|&v| g.out_degree(v) > 0 && g.in_degree(v) > 0)
-                .collect()
+    /// [`Session::reordered_graph`], asking `base` for the dataset's
+    /// graph only if the relabeled graph or its permutation must be
+    /// built.
+    fn reordered_of(
+        &self,
+        ds: &DatasetSpec,
+        base: &dyn Fn() -> Arc<Csr>,
+        spec: &TechniqueSpec,
+        kind: DegreeKind,
+    ) -> Arc<Csr> {
+        let key = (ds.clone(), spec.clone(), Self::canonical_kind(spec, kind));
+        self.reordered.get_or_build(&key, || {
+            let graph = base();
+            let timed = self.reorder_of(ds, &|| Arc::clone(&graph), spec, kind);
+            self.log(&format!("rebuilding {} under {}", ds.label(), spec.label()));
+            graph.apply_permutation_with(&timed.permutation, &self.pool)
         })
     }
 
@@ -753,9 +768,26 @@ impl Session {
     /// aggregated simulation). A graph without candidates is rooted at
     /// vertex 0; an empty graph has no roots.
     pub fn roots(&self, ds: &DatasetSpec, count: usize) -> Vec<VertexId> {
-        let candidates = self.root_candidates(ds);
+        self.roots_of(ds, &|| self.graph(ds), count)
+    }
+
+    /// [`Session::roots`], asking `base` for the dataset's graph only
+    /// if its root candidates must be found, or it has none.
+    fn roots_of(
+        &self,
+        ds: &DatasetSpec,
+        base: &dyn Fn() -> Arc<Csr>,
+        count: usize,
+    ) -> Vec<VertexId> {
+        // The root candidates: vertices with both in- and out-edges.
+        let candidates = self.root_candidates.get_or_build(ds, || {
+            let g = base();
+            (0..g.num_vertices() as VertexId)
+                .filter(|&v| g.out_degree(v) > 0 && g.in_degree(v) > 0)
+                .collect()
+        });
         if candidates.is_empty() {
-            return if self.graph(ds).num_vertices() == 0 {
+            return if base().num_vertices() == 0 {
                 Vec::new()
             } else {
                 vec![0]
@@ -776,6 +808,12 @@ impl Session {
     /// the paper's methodology. Concurrent requests for the same job
     /// coalesce into one traced execution.
     pub fn run(&self, job: &Job) -> Arc<RunStats> {
+        self.run_of(job, &|| self.graph(&job.dataset))
+    }
+
+    /// [`Session::run`], asking `base` for the dataset's graph only if
+    /// the run must be traced.
+    fn run_of(&self, job: &Job, base: &dyn Fn() -> Arc<Csr>) -> Arc<RunStats> {
         let key = (job.app.clone(), job.dataset.clone(), job.technique.clone());
         self.runs.get_or_build(&key, || {
             self.log(&format!(
@@ -786,8 +824,7 @@ impl Session {
                     .as_ref()
                     .map_or_else(|| "Original".to_owned(), TechniqueSpec::label)
             ));
-            let base = self.graph(&job.dataset);
-            let (graph, roots) = self.prepared(job, &base);
+            let (graph, roots) = self.prepared(job, &base());
             let stats = self.run_traced(&job.app, &graph, &roots);
             RunStats { stats }
         })
@@ -824,10 +861,35 @@ impl Session {
 
     /// Runs a job and flattens the outcome (plus its baseline
     /// comparison and reorder timing) into a machine-readable
-    /// [`Report`].
+    /// [`Report`]. The dataset's graph is fetched at most once, and
+    /// only if something must be built from it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dataset fails to materialize.
     pub fn report(&self, job: &Job) -> Report {
-        let stats = self.run(job);
-        let base = self.run(&Job::new(job.app.clone(), job.dataset.clone()));
+        let graph = OnceCell::new();
+        self.report_of(job, &|| {
+            Arc::clone(graph.get_or_init(|| self.graph(&job.dataset)))
+        })
+    }
+
+    /// [`Session::report`], materializing the dataset first so that a
+    /// missing or malformed file is an error, not a panic.
+    ///
+    /// # Errors
+    ///
+    /// [`DatasetError`] when the dataset fails to materialize.
+    pub fn try_report(&self, job: &Job) -> Result<Report, DatasetError> {
+        let graph = self.try_graph(&job.dataset)?;
+        Ok(self.report_of(job, &|| Arc::clone(&graph)))
+    }
+
+    /// [`Session::report`] with the dataset's graph supplied by `base`.
+    fn report_of(&self, job: &Job, base: &dyn Fn() -> Arc<Csr>) -> Report {
+        let stats = self.run_of(job, base);
+        let baseline = Job::new(job.app.clone(), job.dataset.clone());
+        let base_stats = self.run_of(&baseline, base);
         let (technique, spec, reorder_ms) = match &job.technique {
             None => (
                 "Original".to_owned(),
@@ -835,7 +897,8 @@ impl Session {
                 None,
             ),
             Some(spec) => {
-                let timed = self.dataset_reorder(&job.dataset, spec, job.app.id().reorder_degree());
+                let kind = job.app.id().reorder_degree();
+                let timed = self.reorder_of(&job.dataset, base, spec, kind);
                 (
                     spec.label(),
                     spec.to_string(),
@@ -854,13 +917,14 @@ impl Session {
             instructions: stats.stats.instructions,
             mpki: stats.stats.mpki(),
             reorder_ms,
-            speedup: speedup_ratio(base.cycles() as f64, stats.cycles() as f64),
+            speedup: speedup_ratio(base_stats.cycles() as f64, stats.cycles() as f64),
         }
     }
 
     /// Builds the (possibly reordered) graph and maps roots through the
-    /// permutation.
+    /// permutation, handing `base` to every build that needs it.
     fn prepared(&self, job: &Job, base: &Arc<Csr>) -> (Arc<Csr>, Vec<VertexId>) {
+        let base_of = || Arc::clone(base);
         // Radii needs its 64 BFS sources fixed in *logical* vertex
         // terms so every ordering computes the same problem.
         let count = if job.app.id() == AppId::Radii {
@@ -868,13 +932,13 @@ impl Session {
         } else {
             job.app.roots().unwrap_or(self.cfg.roots)
         };
-        let roots = self.roots(&job.dataset, count);
+        let roots = self.roots_of(&job.dataset, &base_of, count);
         match &job.technique {
-            None => (Arc::clone(base), roots),
+            None => (base_of(), roots),
             Some(spec) => {
                 let kind = job.app.id().reorder_degree();
-                let timed = self.dataset_reorder(&job.dataset, spec, kind);
-                let g = self.reordered_graph(&job.dataset, spec, kind);
+                let timed = self.reorder_of(&job.dataset, &base_of, spec, kind);
+                let g = self.reordered_of(&job.dataset, &base_of, spec, kind);
                 let mapped = roots.iter().map(|&r| timed.permutation.new_id(r)).collect();
                 (g, mapped)
             }
@@ -1462,13 +1526,14 @@ mod tests {
                 let ds: DatasetSpec = dataset.parse().unwrap();
                 let job =
                     Job::new(app.parse().unwrap(), ds).with_technique(technique.parse().unwrap());
-                s.try_graph(&job.dataset).unwrap();
-                s.report(&job);
+                s.try_report(&job).unwrap();
             }
             s.cache_stats()
         };
         let first = run();
         assert!(first.total().evictions > 0, "{first}");
+        // Each job fetches its graph once, however small the budget.
+        assert_eq!(first.graphs.misses, JOBS.len() as u64, "{first}");
         assert_eq!(first, run());
     }
 

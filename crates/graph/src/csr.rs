@@ -7,7 +7,9 @@
 
 use std::ops::Range;
 
-use lgr_parallel::{edge_balanced_ranges, even_ranges, stable_offsets, Pool, SyncSlice};
+use lgr_parallel::{
+    edge_balanced_ranges, even_ranges, par_chunks_mut, stable_offsets, Pool, SyncSlice,
+};
 
 use crate::{EdgeList, Permutation, VertexId, Weight};
 
@@ -94,18 +96,19 @@ struct Adjacency {
 /// edges without the walk reading them.
 type Triple = (usize, VertexId, usize);
 
-/// How many parts a walk over `num_edges` edges is cut into: two per
-/// worker, dealt round-robin, since equal edge mass is not equal time
-/// (short lists cost more per edge than hub lists). Each part costs a
-/// V-slot histogram row and a V-slot cursor, so the count is capped at
-/// the average degree: the transient matrix never exceeds the edge
-/// array, however many cores the host has.
+/// How many parts a build's walks over `num_edges` edges are cut into:
+/// two per worker, dealt round-robin, since equal edge mass is not
+/// equal time (short lists cost more per edge than hub lists). Each
+/// part costs a V-slot histogram row and a V-slot cursor, so the count
+/// is capped at the average degree: the transient matrix never exceeds
+/// the edge array, however many cores the host has. A permutation
+/// apply cuts nothing: it knows its offsets before it walks.
 fn walk_parts(pool: &Pool, num_vertices: usize, num_edges: usize) -> usize {
     (2 * pool.threads()).min((num_edges / num_vertices.max(1)).max(1))
 }
 
 impl Adjacency {
-    /// The stable counting scatter every CSR is written by: the
+    /// The stable counting scatter a build writes its CSR with: the
     /// triples `walk` yields for each of `parts`, consecutive ranges of
     /// its items, grouped by owner over `num_vertices` lists, with
     /// weights read from `weights` at each slot. Parts are counted and
@@ -135,13 +138,20 @@ impl Adjacency {
                     // One instance per weightedness: no per-edge test.
                     match (weights, wt) {
                         (Some(src), Some(wt)) => {
-                            scatter_part(triples, cursor, nb, move |slot, k| {
-                                // SAFETY: stable offsets give every triple
-                                // a distinct slot.
-                                unsafe { wt.write(slot, src[k]) }
+                            scatter_part(triples, cursor, move |slot, v, k| {
+                                // SAFETY: stable offsets give every triple a
+                                // distinct in-bounds slot, so writes are
+                                // disjoint across parts.
+                                unsafe {
+                                    nb.write(slot, v);
+                                    wt.write(slot, src[k]);
+                                }
                             })
                         }
-                        _ => scatter_part(triples, cursor, nb, |_, _| {}),
+                        // SAFETY: as above.
+                        _ => scatter_part(triples, cursor, move |slot, v, _| unsafe {
+                            nb.write(slot, v)
+                        }),
                     }
                 }
             });
@@ -153,47 +163,75 @@ impl Adjacency {
         }
     }
 
-    /// This direction transposed under a relabeling, over `n` vertices:
-    /// new ids `nv` walked in ascending order, each entry `u` of old
-    /// vertex `old_of(nv)`'s list landing in the list of `new_of(u)`.
-    /// The lists here are canonical, so the entries one owner receives
-    /// from one `nv` (the copies of one `u`) come in ascending weight
-    /// order, and `nv` ascends: every list of the transpose is
-    /// canonical with no sort, parallel edges and self-loops included.
-    fn transpose(
-        &self,
-        n: usize,
-        parts: usize,
-        old_of: impl Fn(usize) -> usize + Sync + Copy,
-        new_of: impl Fn(VertexId) -> usize + Sync + Copy,
-        pool: &Pool,
-    ) -> Self {
+    /// The triples of this direction transposed under a relabeling:
+    /// new ids `nv` of `items` in ascending order, each entry `u` of old
+    /// vertex `old_of(nv)`'s list yielding `(new_of(u), nv, slot)`. The
+    /// lists here are canonical, so the entries one owner receives from
+    /// one `nv` (the copies of one `u`) come in ascending weight order,
+    /// and `nv` ascends: scattered by owner in walk order, every list of
+    /// the transpose is canonical with no sort, parallel edges and
+    /// self-loops included.
+    fn transposed<'a>(
+        &'a self,
+        items: Range<usize>,
+        old_of: impl Fn(usize) -> usize + Copy + 'a,
+        new_of: impl Fn(VertexId) -> usize + Copy + 'a,
+    ) -> impl Iterator<Item = Triple> + 'a {
         let (index, neighbors) = (&self.index[..], &self.neighbors[..]);
-        // Cut the new ids into ranges of near-equal edge mass, so that
-        // hub-first orderings do not load one part with every hub. The
-        // relabeled index does not exist yet: scan degrees in new-id
-        // order, up to the last cut.
-        let mut cuts = Vec::with_capacity(parts);
-        let (mut start, mut end, mut mass) = (0, 0, 0);
-        for p in 1..parts {
-            while end < n && mass < neighbors.len() * p / parts {
-                let v = old_of(end);
-                mass += index[v + 1] - index[v];
-                end += 1;
-            }
-            cuts.push(start..end);
-            start = end;
-        }
-        cuts.push(start..n);
-        let walk = move |items: Range<usize>| {
-            items.flat_map(move |nv| {
-                let v = old_of(nv);
-                let range = index[v]..index[v + 1];
-                let slots = range.clone().zip(&neighbors[range]);
-                slots.map(move |(slot, &u)| (new_of(u), nv as VertexId, slot))
-            })
-        };
+        items.flat_map(move |nv| {
+            let v = old_of(nv);
+            let range = index[v]..index[v + 1];
+            let slots = range.clone().zip(&neighbors[range]);
+            slots.map(move |(slot, &u)| (new_of(u), nv as VertexId, slot))
+        })
+    }
+
+    /// This direction transposed, the in-direction of a build: the
+    /// counting scatter of [`Adjacency::transposed`] under the
+    /// identity, its vertices cut into `parts` of near-equal edge mass
+    /// so that no part holds every hub.
+    fn transpose(&self, parts: usize, pool: &Pool) -> Self {
+        let cuts = edge_balanced_ranges(&self.index, parts);
+        let walk = |items| self.transposed(items, |v| v, |u| u as usize);
+        let n = self.index.len() - 1;
         Adjacency::scatter(n, self.weights.as_deref(), &cuts, walk, pool)
+    }
+
+    /// Writes `self`, whose arrays are sized for `walked`'s transpose,
+    /// as that transpose under the relabeling `inv` (new id to old) /
+    /// `new_ids` (old id to new), in one walk with no count pass. A
+    /// relabeled vertex keeps its degree, so list `nv` starts at the
+    /// sum of the degrees in `sizes` (the other old direction's index)
+    /// of `inv[..nv]`, and its cursor starts there. The cursors live in
+    /// `index[1..]`: cursor `nv` ends one past list `nv`'s last slot,
+    /// which is where list `nv + 1` starts. The writes are
+    /// bounds-checked, so a CSR whose directions disagree (see
+    /// [`Csr::from_adjacency_parts`]) panics or relabels wrongly but
+    /// never writes out of bounds.
+    fn relabel(
+        &mut self,
+        walked: &Adjacency,
+        sizes: &[usize],
+        inv: &[VertexId],
+        new_ids: &[VertexId],
+    ) {
+        let cursor = &mut self.index[1..];
+        let mut start = 0;
+        for (c, &v) in cursor.iter_mut().zip(inv) {
+            *c = start;
+            start += sizes[v as usize + 1] - sizes[v as usize];
+        }
+        let old_of = |nv: usize| inv[nv] as usize;
+        let triples = walked.transposed(0..inv.len(), old_of, |u| new_ids[u as usize] as usize);
+        let neighbors = &mut self.neighbors[..];
+        // One instance per weightedness: no per-edge test.
+        match (walked.weights.as_deref(), self.weights.as_deref_mut()) {
+            (Some(src), Some(wt)) => scatter_part(triples, cursor, move |slot, v, k| {
+                neighbors[slot] = v;
+                wt[slot] = src[k];
+            }),
+            _ => scatter_part(triples, cursor, move |slot, v, _| neighbors[slot] = v),
+        }
     }
 
     /// Sorts every list into canonical `(neighbor, weight)` order on the
@@ -235,25 +273,21 @@ impl Adjacency {
     }
 }
 
-/// Scatters `triples` through `cursor`, their part's row of the stable
-/// offsets, handing each `(slot, source slot)` to `put_weight`. Out of
-/// line so that `cursor` and the walk's state arrive as `noalias`
-/// parameters: the raw writes would otherwise force a reload of every
-/// captured pointer per edge.
+/// Scatters `triples` through `cursor`, starting each owner's run at
+/// `cursor[owner]`, and hands each `(slot, neighbor, source slot)` to
+/// `put`. Out of line so that `cursor` and the walk's state arrive as
+/// `noalias` parameters: the writes would otherwise force a reload of
+/// every captured pointer per edge.
 #[inline(never)]
 fn scatter_part(
     triples: impl Iterator<Item = Triple>,
     cursor: &mut [usize],
-    nb: SyncSlice<'_, VertexId>,
-    put_weight: impl Fn(usize, usize),
+    mut put: impl FnMut(usize, VertexId, usize),
 ) {
     triples.for_each(move |(owner, neighbor, k)| {
         let slot = cursor[owner];
         cursor[owner] += 1;
-        // SAFETY: stable offsets give every triple a distinct slot, so
-        // writes are disjoint across parts.
-        unsafe { nb.write(slot, neighbor) };
-        put_weight(slot, k);
+        put(slot, neighbor, k);
     });
 }
 
@@ -323,7 +357,7 @@ impl Csr {
         };
         let mut out = Adjacency::scatter(n, el.weights(), &cuts, walk, pool);
         out.sort_lists(pool);
-        let inn = out.transpose(n, parts, |v| v, |u| u as usize, pool);
+        let inn = out.transpose(parts, pool);
         Csr {
             num_vertices: n,
             num_edges: edges.len(),
@@ -479,12 +513,19 @@ impl Csr {
 
     /// [`Csr::apply_permutation`] on the worker pool. Each direction of
     /// the relabeled graph is the transpose of the *other* old
-    /// direction, written CSR-to-CSR by the build's counting scatter
-    /// with no intermediate [`EdgeList`]: new ids are walked in
-    /// ascending order, and because the old lists are canonical, every
-    /// new list comes out in canonical `(neighbor, weight)` order with
-    /// no sort. The walk is cut into parts of near-equal edge mass
-    /// across the pool's workers. The result is structurally identical
+    /// direction, written CSR-to-CSR with no intermediate [`EdgeList`]
+    /// and no count pass: a relabeled vertex keeps its degree, so the
+    /// new out-index is the prefix sum of the old out-degrees in new-id
+    /// order (and the in-index of the in-degrees), and one walk fills
+    /// each direction from cursors that start at those offsets. New ids
+    /// are walked in ascending order, and because the old lists are
+    /// canonical, every new list comes out in canonical
+    /// `(neighbor, weight)` order with no sort.
+    ///
+    /// The two directions are two jobs: on a pool of two or more
+    /// threads each runs on its own worker (further workers stay idle),
+    /// and on a pool of one both run inline. Every array is allocated
+    /// on the calling thread. The result is structurally identical
     /// (`==`) to rebuilding from the relabeled edge list, for every
     /// pool size.
     ///
@@ -493,16 +534,26 @@ impl Csr {
     /// Panics if the permutation length differs from the vertex count.
     pub fn apply_permutation_with(&self, perm: &Permutation, pool: &Pool) -> Csr {
         assert_eq!(perm.len(), self.num_vertices, "permutation length mismatch");
-        let (n, inv) = (self.num_vertices, perm.inverse());
-        let (inv, new_ids) = (&inv[..], perm.new_ids());
-        let old_of = move |nv: usize| inv[nv] as usize;
-        let new_of = move |u: VertexId| new_ids[u as usize] as usize;
-        let parts = walk_parts(pool, n, self.num_edges);
+        let (n, m, inv) = (self.num_vertices, self.num_edges, perm.inverse());
+        // (walked, sizes): the new out-direction transposes the old
+        // in-lists into lists sized by the old out-degrees, and the
+        // new in-direction the other way round.
+        let sources = [(&self.inn, &self.out.index), (&self.out, &self.inn.index)];
+        let mut dirs = sources.map(|(walked, _)| Adjacency {
+            index: vec![0; n + 1],
+            neighbors: vec![0; m],
+            weights: walked.weights.as_ref().map(|_| vec![0; m]),
+        });
+        par_chunks_mut(pool, &mut dirs, &[0..1, 1..2], |k, _, dir| {
+            let (walked, sizes) = sources[k];
+            dir[0].relabel(walked, sizes, &inv, perm.new_ids());
+        });
+        let [out, inn] = dirs;
         Csr {
             num_vertices: n,
-            num_edges: self.num_edges,
-            out: self.inn.transpose(n, parts, old_of, new_of, pool),
-            inn: self.out.transpose(n, parts, old_of, new_of, pool),
+            num_edges: m,
+            out,
+            inn,
         }
     }
 

@@ -168,17 +168,30 @@ fn parallel_paths_on_generated_graph() {
     let mut el = gen::community(gen::CommunityConfig::new(3000, 6.0).with_seed(42));
     el.randomize_weights(16, 9);
     let reference = reference_csr(&el);
-    let perm = gen::random_permutation(el.num_vertices(), 77);
-    let relabeled = reference_csr(&el.relabel(&perm));
+    // A random order, and a hub-first one: a stable sort by descending
+    // out-degree, as Sort and DBG produce.
+    let degrees = el.out_degrees();
+    let mut hubs_first: Vec<VertexId> = (0..el.num_vertices() as VertexId).collect();
+    hubs_first.sort_by_key(|&v| std::cmp::Reverse(degrees[v as usize]));
+    let perms = [
+        gen::random_permutation(el.num_vertices(), 77),
+        Permutation::from_order(&hubs_first).unwrap(),
+    ];
+    let relabeled: Vec<Csr> = perms
+        .iter()
+        .map(|p| reference_csr(&el.relabel(p)))
+        .collect();
     for threads in THREADS {
         let pool = Pool::new(threads);
         let par = Csr::from_edge_list_with(&el, &pool);
         assert_eq!(par, reference, "threads = {threads}");
-        assert_eq!(
-            par.apply_permutation_with(&perm, &pool),
-            relabeled,
-            "threads = {threads}"
-        );
+        for (perm, relabeled) in perms.iter().zip(&relabeled) {
+            assert_eq!(
+                &par.apply_permutation_with(perm, &pool),
+                relabeled,
+                "threads = {threads}"
+            );
+        }
         assert_eq!(
             DegreeKind::Out.degrees_with(&par, &pool),
             el.out_degrees(),

@@ -12,8 +12,8 @@
 //! * [`par_fill`] / [`par_fill_ranges`] / [`par_chunks_mut`] — safe
 //!   chunked for-each over slices;
 //! * [`stable_offsets`] — per-part histograms merged by prefix sum,
-//!   the core of stable parallel counting sorts (every CSR build and
-//!   permutation apply, DBG grouping);
+//!   the core of stable parallel counting sorts (every CSR build, DBG
+//!   grouping);
 //! * [`even_ranges`] / [`edge_balanced_ranges`] — work division,
 //!   including the degree-skew-aware splitter that keeps hub-first
 //!   orderings from starving all but one worker;

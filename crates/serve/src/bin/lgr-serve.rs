@@ -146,14 +146,16 @@ fn main() -> ExitCode {
             let listener = match TcpListener::bind(&bind) {
                 Ok(l) => l,
                 Err(e) => {
-                    eprintln!("error: cannot bind {bind}: {e}");
+                    stderr(format_args!("error: cannot bind {bind}: {e}\n"));
                     return ExitCode::FAILURE;
                 }
             };
             let local = match listener.local_addr() {
                 Ok(a) => a,
                 Err(e) => {
-                    eprintln!("error: cannot resolve listener address: {e}");
+                    stderr(format_args!(
+                        "error: cannot resolve listener address: {e}\n"
+                    ));
                     return ExitCode::FAILURE;
                 }
             };
@@ -173,7 +175,9 @@ fn main() -> ExitCode {
             let handles = match serve(listener, session, options) {
                 Ok(h) => h,
                 Err(e) => {
-                    eprintln!("error: cannot spawn connection workers: {e}");
+                    stderr(format_args!(
+                        "error: cannot spawn connection workers: {e}\n"
+                    ));
                     return ExitCode::FAILURE;
                 }
             };
@@ -189,7 +193,7 @@ fn main() -> ExitCode {
             let jobs = match read_jobs(jobs_path.as_deref()) {
                 Ok(j) => j,
                 Err(e) => {
-                    eprintln!("error: {e}");
+                    stderr(format_args!("error: {e}\n"));
                     return ExitCode::FAILURE;
                 }
             };
@@ -201,7 +205,7 @@ fn main() -> ExitCode {
                     ExitCode::SUCCESS
                 }
                 Err(e) => {
-                    eprintln!("error: {e}");
+                    stderr(format_args!("error: {e}\n"));
                     ExitCode::FAILURE
                 }
             }
@@ -210,7 +214,7 @@ fn main() -> ExitCode {
             let jobs = match read_jobs(jobs_path.as_deref()) {
                 Ok(j) => j,
                 Err(e) => {
-                    eprintln!("error: {e}");
+                    stderr(format_args!("error: {e}\n"));
                     return ExitCode::FAILURE;
                 }
             };
@@ -223,7 +227,7 @@ fn main() -> ExitCode {
         // Modes are validated during argument parsing; keep the
         // fallback an orderly exit rather than a panic site anyway.
         other => {
-            eprintln!("error: unknown mode `{other}`");
+            stderr(format_args!("error: unknown mode `{other}`\n"));
             ExitCode::FAILURE
         }
     }
@@ -252,16 +256,23 @@ fn read_jobs(path: Option<&str>) -> Result<Vec<String>, String> {
 
 fn usage(err: &str) -> ExitCode {
     if !err.is_empty() {
-        eprintln!("error: {err}");
+        stderr(format_args!("error: {err}\n"));
     }
-    eprintln!(
+    stderr(
         "usage: lgr-serve serve  [--addr <host:port>] [--workers <n>] [--allow-files] [--quick] [--scale <exp>] [--roots <n>] [--sim <knobs>] [--cache-bytes <n[k|m|g]>] [--verbose]\n\
          \x20      lgr-serve client --addr <host:port> --jobs <file|-> [--concurrency <m>] [--canonical]\n\
-         \x20      lgr-serve local  --jobs <file|-> [--canonical] [--quick] [--scale <exp>] [--roots <n>] [--sim <knobs>] [--cache-bytes <n[k|m|g]>] [--verbose]"
+         \x20      lgr-serve local  --jobs <file|-> [--canonical] [--quick] [--scale <exp>] [--roots <n>] [--sim <knobs>] [--cache-bytes <n[k|m|g]>] [--verbose]\n",
     );
     if err.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
     }
+}
+
+/// Writes `text` to stderr and ignores failure: `eprint!` panics when
+/// stderr is a closed pipe, which would turn exit code 1 into 101.
+fn stderr(text: impl std::fmt::Display) {
+    use std::io::Write as _;
+    let _ = write!(std::io::stderr().lock(), "{text}");
 }

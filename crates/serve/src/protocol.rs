@@ -261,11 +261,9 @@ fn run_line(
         check_technique_policy(&spec, policy)?;
         job = job.with_technique(spec);
     }
-    // Materialize through the fallible path first so a missing or
-    // corrupt file dataset is a clean error response, not a worker
-    // panic.
-    session.try_graph(&job.dataset).map_err(|e| e.to_string())?;
-    let report = session.report(&job);
+    // The fallible path, so a missing or corrupt file dataset is a
+    // clean error response, not a worker panic.
+    let report = session.try_report(&job).map_err(|e| e.to_string())?;
     Ok(if req.canonical || force_canonical {
         report.canonicalized()
     } else {

@@ -3,6 +3,7 @@
 //! concurrent output must be byte-identical to the sequential one.
 
 use std::net::TcpListener;
+use std::process::{Command, Stdio};
 use std::sync::Arc;
 
 use lgr_engine::{Session, SessionConfig};
@@ -323,4 +324,22 @@ fn client_injects_the_canonical_flag() {
     let line = req.to_json();
     let rt = JobRequest::parse(&line).unwrap();
     assert!(rt.canonical);
+}
+
+#[test]
+fn flag_errors_exit_1_when_stderr_is_closed() {
+    // The reader goes away before the child writes its error line; a
+    // panicking write would exit 101.
+    for _ in 0..20 {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_lgr-serve"))
+            .args(["local", "--bogus"])
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn lgr-serve");
+        drop(child.stderr.take());
+        let status = child.wait().expect("wait for lgr-serve");
+        assert_eq!(status.code(), Some(1));
+    }
 }
