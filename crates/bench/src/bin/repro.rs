@@ -28,15 +28,17 @@
 //!
 //! Unknown experiment, technique, app, or dataset names exit with
 //! code 2 and list the valid names; malformed spec values (e.g.
-//! `kr:sd=abc`) exit 1 like other bad flags.
+//! `kr:sd=abc`) exit 1 like other bad flags. A reader that closes
+//! stdout early (`repro fig6 | head -1`) ends the run with exit 0.
 
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 use std::time::Instant;
 
 use lgr_bench::experiments::{self, Experiment};
 use lgr_engine::{
-    AppSpec, DatasetSpec, Session, SessionFlags, SpecError, TechniqueSpec, BUILTIN_DATASETS,
-    BUILTIN_TECHNIQUES, DATASET_SPEC_FORMS,
+    AppSpec, DatasetSpec, Session, SessionConfig, SessionFlags, SpecError, TechniqueSpec,
+    BUILTIN_DATASETS, BUILTIN_TECHNIQUES, DATASET_SPEC_FORMS,
 };
 
 /// Exit code for unknown experiment/technique/app/dataset names
@@ -97,46 +99,68 @@ fn main() -> ExitCode {
             },
         }
     }
-    if list {
-        print_catalog();
-        return ExitCode::SUCCESS;
-    }
     let mut cfg = session_flags.config();
     cfg.techniques = techniques;
     cfg.apps = apps;
     cfg.datasets = datasets;
     cfg.dataset_cache = dataset_cache;
+    let mut out = std::io::stdout().lock();
+    match run(cfg, &names, list, cache_stats, &mut out) {
+        Ok(code) => code,
+        // The reader stopped early (`repro fig6 | head -1`): it has
+        // what it asked for, so stop there and report success.
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            stderr(format_args!("error: writing stdout: {e}\n"));
+            ExitCode::FAILURE
+        }
+    }
+}
 
+/// Runs the selected experiments (or prints a listing), writing
+/// stdout through `out` and stopping at the first write error.
+fn run(
+    cfg: SessionConfig,
+    names: &[String],
+    list: bool,
+    cache_stats: bool,
+    out: &mut impl Write,
+) -> std::io::Result<ExitCode> {
+    if list {
+        print_catalog(out)?;
+        return Ok(ExitCode::SUCCESS);
+    }
     if names.iter().any(|n| n == "list") {
         for e in experiments::ALL {
-            println!("{:<8} {}", e.name, e.description);
+            writeln!(out, "{:<8} {}", e.name, e.description)?;
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     let selected: Vec<&'static Experiment> = if names.is_empty() || names.iter().any(|n| n == "all")
     {
         experiments::ALL.iter().collect()
     } else {
         let mut v = Vec::new();
-        for n in &names {
+        for n in names {
             match experiments::by_name(n) {
                 Some(e) => v.push(e),
                 None => {
                     let valid: Vec<&str> = experiments::ALL.iter().map(|e| e.name).collect();
-                    return unknown_name(&format!(
+                    return Ok(unknown_name(&format!(
                         "unknown experiment `{n}`; valid: {}",
                         valid.join(", ")
-                    ));
+                    )));
                 }
             }
         }
         v
     };
 
-    println!(
+    writeln!(
+        out,
         "# graph-reorder reproduction | sd = {} vertices | {} cores / {} sockets | {} root(s)\n",
         cfg.scale.sd_vertices, cfg.sim.cores, cfg.sim.sockets, cfg.roots
-    );
+    )?;
     let session = Session::new(cfg);
     // Materialize the file-backed datasets up front so a missing or
     // malformed file is one clean CLI error, not a mid-experiment
@@ -146,14 +170,14 @@ fn main() -> ExitCode {
         for ds in selection.iter().filter(|d| d.is_file_backed()) {
             if let Err(e) = session.try_graph(ds) {
                 stderr(format_args!("error: {e}\n"));
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     }
     for e in selected {
         let start = Instant::now();
         let report = (e.run)(&session);
-        println!("{report}");
+        writeln!(out, "{report}")?;
         stderr(format_args!(
             "[repro] {} done in {:.1}s\n",
             e.name,
@@ -165,37 +189,46 @@ fn main() -> ExitCode {
         // experiment tables and nothing else.
         stderr(session.cache_stats());
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `--list`: every name and spec grammar in one place (they otherwise
 /// only appear in error paths).
-fn print_catalog() {
-    println!("experiments:");
+fn print_catalog(out: &mut impl Write) -> std::io::Result<()> {
+    writeln!(out, "experiments:")?;
     for e in experiments::ALL {
-        println!("  {:<8} {}", e.name, e.description);
+        writeln!(out, "  {:<8} {}", e.name, e.description)?;
     }
-    println!("  all      every experiment, in paper order");
-    println!("\ntechniques (--techniques, `+` composes stages):");
-    println!("  names:   {}", BUILTIN_TECHNIQUES.join(", "));
-    println!("  grammar: dbg[:groups=<n>]  rv[:seed=<n>]  rcb:<blocks>[:seed=<n>]");
-    println!("  e.g.:    --techniques dbg:groups=4,rcb:3,gorder+dbg");
-    println!("\napps (--apps):");
-    println!("  names:   bc, sssp, pr, prd, radii");
-    println!("  grammar: pr[:iters=<n>]  prd[:iters=<n>]  sssp[:roots=<n>]  bc[:roots=<n>]");
-    println!("           radii[:rounds=<n>][:sources=<n>]");
-    println!("\ndatasets (--datasets):");
-    println!(
-        "  names:   {} (aliases: kron=kr, uniform=uni)",
+    writeln!(
+        out,
+        "  all      every experiment, in paper order
+
+techniques (--techniques, `+` composes stages):
+  names:   {}
+  grammar: dbg[:groups=<n>]  rv[:seed=<n>]  rcb:<blocks>[:seed=<n>]
+  e.g.:    --techniques dbg:groups=4,rcb:3,gorder+dbg
+
+apps (--apps):
+  names:   bc, sssp, pr, prd, radii
+  grammar: pr[:iters=<n>]  prd[:iters=<n>]  sssp[:roots=<n>]  bc[:roots=<n>]
+           radii[:rounds=<n>][:sources=<n>]
+
+datasets (--datasets):
+  names:   {} (aliases: kron=kr, uniform=uni)
+  grammar: <name>[:sd=<exp>][:seed=<n>]   (sd gets 2^exp vertices)",
+        BUILTIN_TECHNIQUES.join(", "),
         BUILTIN_DATASETS.join(", ")
-    );
-    println!("  grammar: <name>[:sd=<exp>][:seed=<n>]   (sd gets 2^exp vertices)");
+    )?;
     for form in DATASET_SPEC_FORMS {
-        println!("           {form}");
+        writeln!(out, "           {form}")?;
     }
-    println!("  e.g.:    --datasets sd,kr:sd=15,file:/data/web.el,lgr:/data/web.lgr");
-    println!("\ncache:     --dataset-cache <dir> persists built graphs as .lgr binary CSRs");
-    println!("           keyed by spec + scale; later runs reload instead of regenerating");
+    writeln!(
+        out,
+        "  e.g.:    --datasets sd,kr:sd=15,file:/data/web.el,lgr:/data/web.lgr
+
+cache:     --dataset-cache <dir> persists built graphs as .lgr binary CSRs
+           keyed by spec + scale; later runs reload instead of regenerating"
+    )
 }
 
 /// Parses a comma-separated spec list, surfacing the spec layer's
@@ -237,6 +270,5 @@ fn usage(err: &str) -> ExitCode {
 /// Writes `text` to stderr and ignores failure: `eprint!` panics when
 /// stderr is a closed pipe, which would turn exit code 1 into 101.
 fn stderr(text: impl std::fmt::Display) {
-    use std::io::Write as _;
     let _ = write!(std::io::stderr().lock(), "{text}");
 }

@@ -2,6 +2,7 @@
 //! run to completion at the CI scale, and the CLI must reject
 //! malformed invocations.
 
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 
@@ -439,5 +440,46 @@ fn flag_errors_exit_1_when_stderr_is_closed() {
         drop(child.stderr.take());
         let status = child.wait().expect("wait for repro");
         assert_eq!(status.code(), Some(1));
+    }
+}
+
+#[test]
+fn a_closed_stdout_ends_the_run_with_exit_0() {
+    // The reader takes the header line and goes away while table1 is
+    // still being computed; the table's write then meets a closed pipe.
+    for _ in 0..20 {
+        let mut child = repro()
+            .args(["--quick", "table1"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn repro");
+        let mut line = String::new();
+        BufReader::new(child.stdout.take().expect("piped stdout"))
+            .read_line(&mut line)
+            .expect("read the header line");
+        assert!(line.starts_with("# graph-reorder reproduction"), "{line}");
+        let status = child.wait().expect("wait for repro");
+        assert_eq!(status.code(), Some(0));
+    }
+}
+
+#[test]
+fn a_closed_stderr_does_not_end_a_verbose_run() {
+    // Progress lines nobody reads are dropped; the run completes.
+    for _ in 0..20 {
+        let mut child = repro()
+            .args(["--quick", "--verbose", "table1"])
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn repro");
+        let mut line = String::new();
+        BufReader::new(child.stderr.take().expect("piped stderr"))
+            .read_line(&mut line)
+            .expect("read the first progress line");
+        assert!(line.starts_with("[repro] "), "{line}");
+        let status = child.wait().expect("wait for repro");
+        assert_eq!(status.code(), Some(0));
     }
 }

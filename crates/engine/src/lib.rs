@@ -25,7 +25,7 @@
 //!   dependencies), and optionally persists every materialized graph
 //!   to an on-disk [`lgr_io::DatasetCache`]. A session is
 //!   `Send + Sync`: share one behind an [`Arc`](std::sync::Arc)
-//!   across threads, and its [`ShardedCache`](coalesce::ShardedCache)s
+//!   across threads, and its [`CoalescingCache`](coalesce::CoalescingCache)s
 //!   coalesce concurrent builds of the same key into a single
 //!   execution (see the [`session`] module docs for the threading
 //!   model). [`SessionConfig::cache_bytes`](session::SessionConfig)
@@ -65,7 +65,7 @@ pub mod spec;
 pub mod weight;
 
 pub use app::AppSpec;
-pub use coalesce::{CacheConfig, CacheStats, EvictionPolicy};
+pub use coalesce::{CacheStats, EvictionPolicy};
 pub use dataset::{
     DatasetBuilder, DatasetError, DatasetGraph, DatasetRegistry, DatasetSource, DatasetSpec,
     TextFormat, BUILTIN_DATASETS, DATASET_SPEC_FORMS,

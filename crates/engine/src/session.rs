@@ -20,7 +20,7 @@
 //!
 //! A `Session` is `Send + Sync`: wrap it in an [`Arc`] and hand
 //! clones to as many threads (or server connections) as you like.
-//! Every cache is a sharded-lock map ([`ShardedCache`]) with per-key
+//! Every cache is one lock-guarded map ([`CoalescingCache`]) with per-key
 //! build coalescing — N concurrent requests for the same
 //! (dataset, technique, app) key trigger exactly **one** graph build,
 //! reordering, or traced run; the other N-1 threads block on the
@@ -38,6 +38,7 @@
 //! untraced run ([`Session::wall`]) pools the kernel itself.
 
 use std::cell::OnceCell;
+use std::convert::Infallible;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -57,7 +58,7 @@ use lgr_parallel::Pool;
 use lgr_sync::{rank, Mutex, Rank};
 
 use crate::app::AppSpec;
-use crate::coalesce::{CacheConfig, CacheStats, EvictionPolicy, ShardedCache};
+use crate::coalesce::{CacheStats, CoalescingCache, EvictionPolicy};
 use crate::dataset::{DatasetError, DatasetGraph, DatasetRegistry, DatasetSpec};
 use crate::registry::TechniqueRegistry;
 use crate::report::Report;
@@ -434,6 +435,14 @@ impl Job {
     }
 }
 
+/// Writes one `[repro]` line to stderr and ignores failure:
+/// `eprintln!` panics when stderr is a closed pipe, and a progress
+/// line nobody reads must not end the run.
+fn log_line(msg: &str) {
+    use std::io::Write as _;
+    let _ = writeln!(std::io::stderr().lock(), "[repro] {msg}");
+}
+
 /// The speedup of a run costing `with` cycles over one costing
 /// `base`. Two runs that cost nothing are equally fast: 1.0, not the
 /// 0 or NaN a plain division gives.
@@ -466,22 +475,22 @@ pub struct Session {
     /// Sized by the `LGR_THREADS` knob (default: available
     /// parallelism).
     pool: Pool,
-    graphs: ShardedCache<DatasetSpec, Csr>,
-    reorders: ShardedCache<ReorderKey, TimedReorder>,
+    graphs: CoalescingCache<DatasetSpec, Csr>,
+    reorders: CoalescingCache<ReorderKey, TimedReorder>,
     /// Reordered CSRs, cached under the same canonicalized key as the
     /// permutations that produced them — rebuilding the graph per
     /// `run`/`wall` call was the single biggest repeated cost of the
     /// repro pipeline.
-    reordered: ShardedCache<ReorderKey, Csr>,
+    reordered: CoalescingCache<ReorderKey, Csr>,
     /// Per-dataset root candidates (vertices with both edge
     /// directions), so the O(V) scan runs once per dataset rather than
     /// once per prepared run.
-    root_candidates: ShardedCache<DatasetSpec, Vec<VertexId>>,
-    runs: ShardedCache<RunKey, RunStats>,
-    walls: ShardedCache<RunKey, Duration>,
+    root_candidates: CoalescingCache<DatasetSpec, Vec<VertexId>>,
+    runs: CoalescingCache<RunKey, RunStats>,
+    walls: CoalescingCache<RunKey, Duration>,
 }
 
-// The whole point of the sharded caches: one engine, many threads. A
+// The whole point of the coalescing caches: one engine, many threads. A
 // regression that reintroduces a non-Sync cell fails to compile here.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
@@ -508,20 +517,17 @@ impl Session {
     }
 
     fn with_pool(cfg: SessionConfig, registry: TechniqueRegistry, pool: Pool) -> Self {
-        let cache_cfg = CacheConfig {
-            budget_bytes: cfg.cache_bytes,
-            ..CacheConfig::default()
-        };
+        let budget = cfg.cache_bytes;
         Session {
             registry,
             dataset_registry: DatasetRegistry::new(),
             pool,
-            graphs: ShardedCache::with_config(cache_cfg),
-            reorders: ShardedCache::with_config(cache_cfg),
-            reordered: ShardedCache::with_config(cache_cfg),
-            root_candidates: ShardedCache::with_config(cache_cfg),
-            runs: ShardedCache::with_config(cache_cfg),
-            walls: ShardedCache::with_config(cache_cfg),
+            graphs: CoalescingCache::new(budget),
+            reorders: CoalescingCache::new(budget),
+            reordered: CoalescingCache::new(budget),
+            root_candidates: CoalescingCache::new(budget),
+            runs: CoalescingCache::new(budget),
+            walls: CoalescingCache::new(budget),
             cfg,
         }
     }
@@ -560,13 +566,13 @@ impl Session {
 
     fn log(&self, msg: &str) {
         if self.cfg.verbose {
-            eprintln!("[repro] {msg}");
+            log_line(msg);
         }
     }
 
     /// A snapshot of every cache's hit/miss/eviction/resident-bytes
     /// counters. Cheap enough to call per request (`entries` walks
-    /// the shard maps; everything else is an atomic load).
+    /// each cache's map; everything else is a field or atomic load).
     pub fn cache_stats(&self) -> SessionCacheStats {
         SessionCacheStats {
             graphs: self.graphs.stats(),
@@ -621,7 +627,7 @@ impl Session {
         if let Some(cache) = &cache {
             match cache.store(&key, &g) {
                 Ok(path) => self.log(&format!("cached dataset {ds} at {}", path.display())),
-                Err(e) => eprintln!("[repro] warning: could not cache dataset {ds}: {e}"),
+                Err(e) => log_line(&format!("warning: could not cache dataset {ds}: {e}")),
             }
         }
         Ok(g)
@@ -707,24 +713,26 @@ impl Session {
         spec: &TechniqueSpec,
         kind: DegreeKind,
     ) -> Arc<TimedReorder> {
-        self.reorder_of(ds, &|| self.graph(ds), spec, kind)
+        let Ok(timed) = self.reorder_of(ds, &|| Ok::<_, Infallible>(self.graph(ds)), spec, kind);
+        timed
     }
 
     /// [`Session::dataset_reorder`], asking `base` for the dataset's
-    /// graph only if the permutation must be built.
-    fn reorder_of(
+    /// graph only if the permutation must be built. A `base` error is
+    /// returned and not cached.
+    fn reorder_of<E>(
         &self,
         ds: &DatasetSpec,
-        base: &dyn Fn() -> Arc<Csr>,
+        base: &dyn Fn() -> Result<Arc<Csr>, E>,
         spec: &TechniqueSpec,
         kind: DegreeKind,
-    ) -> Arc<TimedReorder> {
+    ) -> Result<Arc<TimedReorder>, E> {
         let key = (ds.clone(), spec.clone(), Self::canonical_kind(spec, kind));
         let canonical = key.2;
-        self.reorders.get_or_build(&key, || {
-            let graph = base();
+        self.reorders.get_or_try_build(&key, || {
+            let graph = base()?;
             self.log(&format!("reordering {} with {}", ds.label(), spec.label()));
-            self.reorder_with_kind(&graph, spec, canonical)
+            Ok(self.reorder_with_kind(&graph, spec, canonical))
         })
     }
 
@@ -754,7 +762,8 @@ impl Session {
         let key = (ds.clone(), spec.clone(), Self::canonical_kind(spec, kind));
         self.reordered.get_or_build(&key, || {
             let graph = base();
-            let timed = self.reorder_of(ds, &|| Arc::clone(&graph), spec, kind);
+            let Ok(timed) =
+                self.reorder_of(ds, &|| Ok::<_, Infallible>(Arc::clone(&graph)), spec, kind);
             self.log(&format!("rebuilding {} under {}", ds.label(), spec.label()));
             graph.apply_permutation_with(&timed.permutation, &self.pool)
         })
@@ -808,14 +817,20 @@ impl Session {
     /// the paper's methodology. Concurrent requests for the same job
     /// coalesce into one traced execution.
     pub fn run(&self, job: &Job) -> Arc<RunStats> {
-        self.run_of(job, &|| self.graph(&job.dataset))
+        let Ok(stats) = self.run_of(job, &|| Ok::<_, Infallible>(self.graph(&job.dataset)));
+        stats
     }
 
     /// [`Session::run`], asking `base` for the dataset's graph only if
-    /// the run must be traced.
-    fn run_of(&self, job: &Job, base: &dyn Fn() -> Arc<Csr>) -> Arc<RunStats> {
+    /// the run must be traced. A `base` error is returned and not
+    /// cached.
+    fn run_of<E>(
+        &self,
+        job: &Job,
+        base: &dyn Fn() -> Result<Arc<Csr>, E>,
+    ) -> Result<Arc<RunStats>, E> {
         let key = (job.app.clone(), job.dataset.clone(), job.technique.clone());
-        self.runs.get_or_build(&key, || {
+        self.runs.get_or_try_build(&key, || {
             self.log(&format!(
                 "tracing {} on {} / {}",
                 job.app.label(),
@@ -824,9 +839,9 @@ impl Session {
                     .as_ref()
                     .map_or_else(|| "Original".to_owned(), TechniqueSpec::label)
             ));
-            let (graph, roots) = self.prepared(job, &base());
+            let (graph, roots) = self.prepared(job, &base()?);
             let stats = self.run_traced(&job.app, &graph, &roots);
-            RunStats { stats }
+            Ok(RunStats { stats })
         })
     }
 
@@ -859,37 +874,47 @@ impl Session {
         })
     }
 
-    /// Runs a job and flattens the outcome (plus its baseline
-    /// comparison and reorder timing) into a machine-readable
-    /// [`Report`]. The dataset's graph is fetched at most once, and
-    /// only if something must be built from it.
+    /// [`Session::try_report`], panicking where it errors.
     ///
     /// # Panics
     ///
     /// Panics if the dataset fails to materialize.
     pub fn report(&self, job: &Job) -> Report {
-        let graph = OnceCell::new();
-        self.report_of(job, &|| {
-            Arc::clone(graph.get_or_init(|| self.graph(&job.dataset)))
-        })
+        self.try_report(job)
+            .unwrap_or_else(|e| panic!("dataset `{}`: {e}", job.dataset))
     }
 
-    /// [`Session::report`], materializing the dataset first so that a
-    /// missing or malformed file is an error, not a panic.
+    /// Runs a job and flattens the outcome (plus its baseline
+    /// comparison and reorder timing) into a machine-readable
+    /// [`Report`]. The dataset's graph is fetched at most once, and
+    /// only if something must be built from it, so a job whose runs
+    /// and permutation are all cached reads no graph.
     ///
     /// # Errors
     ///
-    /// [`DatasetError`] when the dataset fails to materialize.
+    /// [`DatasetError`] when the dataset is needed and fails to
+    /// materialize (a missing or malformed file, say).
     pub fn try_report(&self, job: &Job) -> Result<Report, DatasetError> {
-        let graph = self.try_graph(&job.dataset)?;
-        Ok(self.report_of(job, &|| Arc::clone(&graph)))
+        let graph = OnceCell::new();
+        self.report_of(job, &|| {
+            if let Some(g) = graph.get() {
+                return Ok(Arc::clone(g));
+            }
+            let g = self.try_graph(&job.dataset)?;
+            Ok(Arc::clone(graph.get_or_init(|| g)))
+        })
     }
 
-    /// [`Session::report`] with the dataset's graph supplied by `base`.
-    fn report_of(&self, job: &Job, base: &dyn Fn() -> Arc<Csr>) -> Report {
-        let stats = self.run_of(job, base);
+    /// [`Session::try_report`] with the dataset's graph supplied by
+    /// `base`.
+    fn report_of(
+        &self,
+        job: &Job,
+        base: &dyn Fn() -> Result<Arc<Csr>, DatasetError>,
+    ) -> Result<Report, DatasetError> {
+        let stats = self.run_of(job, base)?;
         let baseline = Job::new(job.app.clone(), job.dataset.clone());
-        let base_stats = self.run_of(&baseline, base);
+        let base_stats = self.run_of(&baseline, base)?;
         let (technique, spec, reorder_ms) = match &job.technique {
             None => (
                 "Original".to_owned(),
@@ -898,7 +923,7 @@ impl Session {
             ),
             Some(spec) => {
                 let kind = job.app.id().reorder_degree();
-                let timed = self.reorder_of(&job.dataset, base, spec, kind);
+                let timed = self.reorder_of(&job.dataset, base, spec, kind)?;
                 (
                     spec.label(),
                     spec.to_string(),
@@ -906,7 +931,7 @@ impl Session {
                 )
             }
         };
-        Report {
+        Ok(Report {
             app: job.app.label().to_owned(),
             app_spec: job.app.to_string(),
             dataset: job.dataset.label(),
@@ -918,7 +943,7 @@ impl Session {
             mpki: stats.stats.mpki(),
             reorder_ms,
             speedup: speedup_ratio(base_stats.cycles() as f64, stats.cycles() as f64),
-        }
+        })
     }
 
     /// Builds the (possibly reordered) graph and maps roots through the
@@ -937,7 +962,8 @@ impl Session {
             None => (base_of(), roots),
             Some(spec) => {
                 let kind = job.app.id().reorder_degree();
-                let timed = self.reorder_of(&job.dataset, &base_of, spec, kind);
+                let Ok(timed) =
+                    self.reorder_of(&job.dataset, &|| Ok::<_, Infallible>(base_of()), spec, kind);
                 let g = self.reordered_of(&job.dataset, &base_of, spec, kind);
                 let mapped = roots.iter().map(|&r| timed.permutation.new_id(r)).collect();
                 (g, mapped)
@@ -1530,10 +1556,27 @@ mod tests {
             }
             s.cache_stats()
         };
+        let lru = |hits, misses, evictions, resident_bytes, entries| CacheStats {
+            hits,
+            misses,
+            evictions,
+            resident_bytes,
+            entries,
+            budget_bytes: Some(64 << 10),
+        };
         let first = run();
-        assert!(first.total().evictions > 0, "{first}");
-        // Each job fetches its graph once, however small the budget.
-        assert_eq!(first.graphs.misses, JOBS.len() as u64, "{first}");
+        // A job fetches its graph only when it misses a run or the
+        // permutation, and then once: jobs 7, 8 and 10 read none.
+        // Both graph caches end empty: every graph built is evicted.
+        let expected = SessionCacheStats {
+            graphs: lru(0, 7, 7, 0, 0),
+            reorders: lru(17, 7, 0, 9496, 7),
+            reordered: lru(0, 7, 7, 0, 0),
+            roots: lru(8, 6, 0, 7312, 6),
+            runs: lru(6, 14, 0, 1344, 14),
+            walls: lru(0, 0, 0, 0, 0),
+        };
+        assert_eq!(first, expected, "{first}");
         assert_eq!(first, run());
     }
 

@@ -1,6 +1,6 @@
 //! Byte-accounting for cached values.
 //!
-//! Every value a [`ShardedCache`](crate::coalesce::ShardedCache) can
+//! Every value a [`CoalescingCache`](crate::coalesce::CoalescingCache) can
 //! hold reports its resident size through [`CacheWeight`], so a
 //! budgeted cache can charge each entry against its byte budget and
 //! know exactly how much it frees by evicting one. Weights are

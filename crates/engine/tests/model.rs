@@ -15,7 +15,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use lgr_engine::coalesce::{CacheConfig, ShardedCache};
+use lgr_engine::coalesce::CoalescingCache;
 use lgr_sync::model;
 
 /// Weight of a cached `Vec<u8>` under `CacheWeight` (header + len),
@@ -24,15 +24,13 @@ fn vec_weight(len: usize) -> u64 {
     (std::mem::size_of::<Vec<u8>>() + len) as u64
 }
 
-/// ISSUE invariant 1: N concurrent requesters of one missing key run
+/// Invariant 1: N concurrent requesters of one missing key run
 /// the builder exactly once in every interleaving, and all N get the
 /// same `Arc`.
 #[test]
 fn concurrent_requesters_build_exactly_once() {
     let report = model::check(|| {
-        let cache: Arc<ShardedCache<u8, u32>> = Arc::new(ShardedCache::with_config(
-            CacheConfig::unbounded().with_shards(1),
-        ));
+        let cache: Arc<CoalescingCache<u8, u32>> = Arc::new(CoalescingCache::new(None));
         let builds = Arc::new(AtomicUsize::new(0));
         let threads: Vec<_> = (0..2)
             .map(|_| {
@@ -58,17 +56,15 @@ fn concurrent_requesters_build_exactly_once() {
     assert!(report.executions >= 2, "explorer must branch: {report}");
 }
 
-/// ISSUE invariant 2 (the PR 6 leak regression, exhaustively): a
+/// Invariant 2 (the abandoned-slot leak, exhaustively): a
 /// build that fails with no counted waiter always removes the
-/// abandoned slot from the shard map — under every interleaving of a
+/// abandoned slot from the map — under every interleaving of a
 /// failing builder and a concurrent requester of the same key,
 /// `tracked_slots()` ends at 0 when *both* requests fail.
 #[test]
 fn abandoned_waiterless_slots_are_always_removed() {
     let report = model::check(|| {
-        let cache: Arc<ShardedCache<u8, u32>> = Arc::new(ShardedCache::with_config(
-            CacheConfig::unbounded().with_shards(1),
-        ));
+        let cache: Arc<CoalescingCache<u8, u32>> = Arc::new(CoalescingCache::new(None));
         let t = {
             let cache = Arc::clone(&cache);
             lgr_sync::thread::spawn(move || {
@@ -94,19 +90,19 @@ fn abandoned_waiterless_slots_are_always_removed() {
     assert!(report.executions >= 2, "explorer must branch: {report}");
 }
 
-/// ISSUE invariant 3: resident-byte accounting never underflows (or
+/// Invariant 3: resident-byte accounting never underflows (or
 /// exceeds the budget at rest) when a publisher races an evictor.
-/// Underflow would wrap the unsigned counter to ~u64::MAX, which the
+/// Underflow would panic the subtraction (tests build with overflow
+/// checks) or, unchecked, wrap the counter to ~u64::MAX, which the
 /// final exact-accounting assertion catches in any schedule.
 #[test]
 fn publish_vs_evict_accounting_never_underflows() {
     let report = model::check(|| {
-        // Budget fits exactly one value, single shard: every publish
-        // after the first forces an eviction concurrent with the
-        // other thread's publish path.
-        let cache: Arc<ShardedCache<u8, Vec<u8>>> = Arc::new(ShardedCache::with_config(
-            CacheConfig::budgeted(vec_weight(8)).with_shards(1),
-        ));
+        // Budget fits exactly one value: every publish after the
+        // first forces an eviction concurrent with the other thread's
+        // publish path.
+        let cache: Arc<CoalescingCache<u8, Vec<u8>>> =
+            Arc::new(CoalescingCache::new(Some(vec_weight(8))));
         let t = {
             let cache = Arc::clone(&cache);
             lgr_sync::thread::spawn(move || {
@@ -126,15 +122,14 @@ fn publish_vs_evict_accounting_never_underflows() {
     assert!(report.executions >= 2, "explorer must branch: {report}");
 }
 
-/// ISSUE invariant 4: a thread that resolved a slot just before the
+/// Invariant 4: a thread that resolved a slot just before the
 /// entry is evicted still reads a valid, correct `Arc` — eviction
 /// detaches the map entry but never invalidates a held value.
 #[test]
 fn evicted_entrys_holder_still_reads_a_valid_arc() {
     let report = model::check(|| {
-        let cache: Arc<ShardedCache<u8, Vec<u8>>> = Arc::new(ShardedCache::with_config(
-            CacheConfig::budgeted(vec_weight(8)).with_shards(1),
-        ));
+        let cache: Arc<CoalescingCache<u8, Vec<u8>>> =
+            Arc::new(CoalescingCache::new(Some(vec_weight(8))));
         // Publish key 1, then race: one thread re-reads 1 while the
         // other publishes 2, whose budget enforcement evicts 1.
         let held = cache.get_or_build(&1, || vec![1u8; 8]);
@@ -155,7 +150,7 @@ fn evicted_entrys_holder_still_reads_a_valid_arc() {
     assert!(report.executions >= 2, "explorer must branch: {report}");
 }
 
-/// ISSUE invariant 5: no missed condvar wakeup. A waiter blocked on
+/// Invariant 5: no missed condvar wakeup. A waiter blocked on
 /// an in-flight build whose builder *fails* must always wake, retry,
 /// and complete. A lost notification would leave the waiter blocked
 /// forever, which the explorer reports as a deadlock (the test then
@@ -163,9 +158,7 @@ fn evicted_entrys_holder_still_reads_a_valid_arc() {
 #[test]
 fn failed_build_never_strands_a_waiter() {
     let report = model::check(|| {
-        let cache: Arc<ShardedCache<u8, u32>> = Arc::new(ShardedCache::with_config(
-            CacheConfig::unbounded().with_shards(1),
-        ));
+        let cache: Arc<CoalescingCache<u8, u32>> = Arc::new(CoalescingCache::new(None));
         let attempts = Arc::new(AtomicUsize::new(0));
         let t = {
             let (cache, attempts) = (Arc::clone(&cache), Arc::clone(&attempts));

@@ -40,7 +40,7 @@
 //! clear the report's only wall-clock field so the outputs compare
 //! byte-for-byte.
 
-use std::io::Read;
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpListener;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -160,14 +160,18 @@ fn main() -> ExitCode {
                 }
             };
             let session = Arc::new(Session::new(cfg));
-            println!(
-                "lgr-serve listening on {local} ({workers} connection workers, {} pool threads)",
-                session.pool().threads()
-            );
-            // Scripts scrape the line above; make sure it is visible
-            // before the first blocking accept.
-            use std::io::Write as _;
-            let _ = std::io::stdout().flush();
+            // Scripts scrape this line, so flush it before the first
+            // blocking accept. Nobody reading it is no reason to stop
+            // serving: a write error is ignored.
+            {
+                let mut out = std::io::stdout().lock();
+                let _ = writeln!(
+                    out,
+                    "lgr-serve listening on {local} ({workers} connection workers, {} pool threads)",
+                    session.pool().threads()
+                )
+                .and_then(|()| out.flush());
+            }
             let options = lgr_serve::ServeOptions {
                 workers,
                 allow_files,
@@ -198,12 +202,7 @@ fn main() -> ExitCode {
                 }
             };
             match run_batch(&addr, &jobs, concurrency, canonical) {
-                Ok(responses) => {
-                    for r in responses {
-                        println!("{r}");
-                    }
-                    ExitCode::SUCCESS
-                }
+                Ok(responses) => print_lines(&responses),
                 Err(e) => {
                     stderr(format_args!("error: {e}\n"));
                     ExitCode::FAILURE
@@ -219,10 +218,7 @@ fn main() -> ExitCode {
                 }
             };
             let session = Session::new(cfg);
-            for r in run_local(&session, &jobs, canonical) {
-                println!("{r}");
-            }
-            ExitCode::SUCCESS
+            print_lines(&run_local(&session, &jobs, canonical))
         }
         // Modes are validated during argument parsing; keep the
         // fallback an orderly exit rather than a panic site anyway.
@@ -270,9 +266,27 @@ fn usage(err: &str) -> ExitCode {
     }
 }
 
+/// Prints response lines to stdout. A reader that stops early
+/// (`lgr-serve local ... | head -1`) has what it asked for: the output
+/// stops there and the exit code is 0. Any other write error exits 1.
+fn print_lines(lines: &[String]) -> ExitCode {
+    let mut out = std::io::stdout().lock();
+    let written = lines
+        .iter()
+        .try_for_each(|line| writeln!(out, "{line}"))
+        .and_then(|()| out.flush());
+    match written {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            stderr(format_args!("error: writing stdout: {e}\n"));
+            ExitCode::FAILURE
+        }
+    }
+}
+
 /// Writes `text` to stderr and ignores failure: `eprint!` panics when
 /// stderr is a closed pipe, which would turn exit code 1 into 101.
 fn stderr(text: impl std::fmt::Display) {
-    use std::io::Write as _;
     let _ = write!(std::io::stderr().lock(), "{text}");
 }

@@ -21,7 +21,7 @@ use lgr_sync::{rank, Mutex, Rank};
 use crate::protocol::{handle_line, RequestPolicy};
 
 /// Batch-client locks are leaves in the workspace's global lock
-/// order (shard=100 < slot=200 < pool=300/310 < serve=400+): a batch
+/// order (map=100 < slot=200 < pool=300/310 < serve=400+): a batch
 /// worker never calls back into the engine while holding one.
 const BATCH_RESULTS_RANK: Rank = rank(400, "serve.batch.results");
 const BATCH_ERROR_RANK: Rank = rank(410, "serve.batch.first_error");
@@ -112,8 +112,13 @@ pub fn serve(
                                 let _ = handle_connection(stream, &session, policy);
                             }
                             Err(e) => {
+                                // A closed stderr must not panic the
+                                // worker: that would end it for good.
                                 if backoff >= MAX_BACKOFF {
-                                    eprintln!("[lgr-serve] worker {i}: accept failing: {e}");
+                                    let _ = writeln!(
+                                        std::io::stderr().lock(),
+                                        "[lgr-serve] worker {i}: accept failing: {e}"
+                                    );
                                 }
                                 std::thread::sleep(backoff);
                                 backoff = (backoff * 2).min(MAX_BACKOFF);

@@ -2,6 +2,7 @@
 //! a concurrent batch client, and the sequential reference — the
 //! concurrent output must be byte-identical to the sequential one.
 
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
 use std::process::{Command, Stdio};
 use std::sync::Arc;
@@ -341,5 +342,31 @@ fn flag_errors_exit_1_when_stderr_is_closed() {
         drop(child.stderr.take());
         let status = child.wait().expect("wait for lgr-serve");
         assert_eq!(status.code(), Some(1));
+    }
+}
+
+#[test]
+fn a_closed_stdout_ends_a_local_run_with_exit_0() {
+    // 200 stats lines overflow a pipe buffer, so the reader leaving
+    // after one line leaves the rest to meet a closed pipe.
+    let jobs = "{\"stats\":\"true\"}\n".repeat(200);
+    for _ in 0..20 {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_lgr-serve"))
+            .args(["local", "--quick", "--jobs", "-"])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn lgr-serve");
+        let mut stdin = child.stdin.take().expect("piped stdin");
+        stdin.write_all(jobs.as_bytes()).expect("write job lines");
+        drop(stdin);
+        let mut line = String::new();
+        BufReader::new(child.stdout.take().expect("piped stdout"))
+            .read_line(&mut line)
+            .expect("read the first response");
+        assert!(line.starts_with(r#"{"stats":"#), "{line}");
+        let status = child.wait().expect("wait for lgr-serve");
+        assert_eq!(status.code(), Some(0));
     }
 }

@@ -14,7 +14,7 @@
 //!    acquisition is checked against the thread's held set, and a
 //!    rank inversion panics naming both locks and both acquisition
 //!    sites. A clean test run therefore proves the documented global
-//!    lock order (shard → slot → pool gate → pool state → serve), not
+//!    lock order (map → slot → pool gate → pool state → serve), not
 //!    merely that one interleaving got lucky.
 //!
 //! 2. **Poison recovery**: `lock()`/`read()`/`write()` never return a

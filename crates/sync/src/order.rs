@@ -23,14 +23,14 @@ use std::cell::RefCell;
 ///
 /// | level | lock |
 /// |-------|------|
-/// | 100   | `engine.cache.shard` (a [`ShardedCache`] shard map) |
+/// | 100   | `engine.cache.map` (a [`CoalescingCache`] map) |
 /// | 200   | `engine.cache.slot` (a per-key in-flight slot) |
 /// | 300   | `pool.gate` (broadcast serialization) |
 /// | 310   | `pool.state` (epoch/job handshake) |
 /// | 320   | `engine.run.partials` (a traced run's summed shares, inside a broadcast) |
 /// | 400+  | `serve.*` (batch-client result collection) |
 ///
-/// [`ShardedCache`]: https://docs.rs/lgr-engine
+/// [`CoalescingCache`]: https://docs.rs/lgr-engine
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Rank {
     /// Position in the global acquisition order.

@@ -61,25 +61,25 @@ fn equal_rank_is_a_violation_too() {
 
 #[test]
 fn rwlock_read_guards_audit_like_writes() {
-    let shard = RwLock::ranked(rank(100, "engine.cache.shard"), ());
+    let map = RwLock::ranked(rank(100, "engine.cache.map"), ());
     let slot = Mutex::ranked(rank(200, "engine.cache.slot"), ());
-    // shard read → slot is the documented order: fine.
+    // map read → slot is the documented order: fine.
     {
-        let _s = shard.read();
+        let _m = map.read();
         let _g = slot.lock();
         assert_eq!(held_locks(), 2);
     }
-    // slot → shard read is the inversion PR 6 had to design around.
+    // slot → map read is the inversion the session cache avoids.
     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let _g = slot.lock();
-        let _s = shard.read();
+        let _m = map.read();
     }))
-    .expect_err("slot→shard must be rejected");
+    .expect_err("slot→map must be rejected");
     let msg = err
         .downcast_ref::<String>()
         .cloned()
         .unwrap_or_else(String::new);
-    assert!(msg.contains("engine.cache.shard"), "got: {msg}");
+    assert!(msg.contains("engine.cache.map"), "got: {msg}");
     assert!(msg.contains("engine.cache.slot"), "got: {msg}");
 }
 
