@@ -51,10 +51,12 @@ impl Default for LatencyModel {
 /// Cache hierarchy geometry.
 ///
 /// The defaults scale the paper's dual-socket Xeon (10 cores/socket,
-/// 32 KiB L1, 256 KiB L2, 25 MiB shared LLC per socket) down by the
-/// same factor as the dataset suite, preserving the
-/// property-array : LLC ratio that drives every observed effect
-/// (DESIGN.md §5).
+/// 32 KiB L1, 256 KiB L2, 25 MiB shared LLC per socket) down to one
+/// fixed geometry that does not follow the dataset scale. The hot
+/// property-array footprint : LLC ratio, which drives the paper's
+/// effects, comes near the paper's regime only around the default
+/// scale (2^17 `sd` vertices); at smaller scales the hot footprint is
+/// a small fraction of the LLC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimConfig {
     /// Total cores; they are split evenly across sockets.

@@ -38,7 +38,6 @@
 //! untraced run ([`Session::wall`]) pools the kernel itself.
 
 use std::cell::OnceCell;
-use std::convert::Infallible;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -50,7 +49,7 @@ use lgr_analytics::apps::radii::{radii_with_arrays, RadiiArrays};
 use lgr_analytics::apps::sssp::{sssp_with_arrays, SsspArrays};
 use lgr_analytics::apps::{AppId, BcConfig, PrConfig, PrdConfig, RadiiConfig, SsspConfig};
 use lgr_cachesim::{MemoryLayout, MemorySim, NullTracer, SimConfig, SimStats, Tracer};
-use lgr_core::{ReorderingTechnique, TimedReorder};
+use lgr_core::TimedReorder;
 use lgr_graph::datasets::DatasetScale;
 use lgr_graph::{Csr, DegreeKind, VertexId};
 use lgr_io::DatasetCache;
@@ -62,7 +61,7 @@ use crate::coalesce::{CacheStats, CoalescingCache, EvictionPolicy};
 use crate::dataset::{DatasetError, DatasetGraph, DatasetRegistry, DatasetSpec};
 use crate::registry::TechniqueRegistry;
 use crate::report::Report;
-use crate::spec::{SpecError, TechniqueSpec};
+use crate::spec::TechniqueSpec;
 
 /// Session-wide knobs.
 #[derive(Debug, Clone)]
@@ -459,7 +458,6 @@ fn speedup_ratio(base: f64, with: f64) -> f64 {
 const PARTIALS_RANK: Rank = rank(320, "engine.run.partials");
 
 type ReorderKey = (DatasetSpec, TechniqueSpec, DegreeKind);
-type RunKey = (AppSpec, DatasetSpec, Option<TechniqueSpec>);
 
 /// Caching engine shared by every experiment, CLI invocation, server
 /// connection, and library embedding. `Send + Sync`: share one
@@ -486,8 +484,8 @@ pub struct Session {
     /// directions), so the O(V) scan runs once per dataset rather than
     /// once per prepared run.
     root_candidates: CoalescingCache<DatasetSpec, Vec<VertexId>>,
-    runs: CoalescingCache<RunKey, RunStats>,
-    walls: CoalescingCache<RunKey, Duration>,
+    runs: CoalescingCache<Job, RunStats>,
+    walls: CoalescingCache<Job, Duration>,
 }
 
 // The whole point of the coalescing caches: one engine, many threads. A
@@ -641,8 +639,7 @@ impl Session {
     ///
     /// Panics if the dataset fails to materialize.
     pub fn graph(&self, ds: &DatasetSpec) -> Arc<Csr> {
-        self.try_graph(ds)
-            .unwrap_or_else(|e| panic!("dataset `{ds}`: {e}"))
+        self.stage(ds, JobCx::graph)
     }
 
     /// Attaches the spec's deterministic weight stream when a loaded
@@ -658,24 +655,6 @@ impl Session {
         let mut el = csr.to_edge_list();
         el.randomize_weights(64, ds.weight_seed());
         Csr::from_edge_list_with(&el, &self.pool)
-    }
-
-    /// Instantiates the technique a spec describes.
-    pub fn technique(
-        &self,
-        spec: &TechniqueSpec,
-    ) -> Result<Box<dyn ReorderingTechnique>, SpecError> {
-        self.registry.build(spec)
-    }
-
-    /// Degree-kind canonicalization: techniques whose permutation
-    /// ignores the degree kind share one cached entry.
-    fn canonical_kind(spec: &TechniqueSpec, kind: DegreeKind) -> DegreeKind {
-        if spec.uses_degree_kind() {
-            kind
-        } else {
-            DegreeKind::Out
-        }
     }
 
     /// Times `spec`'s reordering of an arbitrary graph on the pool
@@ -699,7 +678,8 @@ impl Session {
         kind: DegreeKind,
     ) -> TimedReorder {
         let t = self
-            .technique(spec)
+            .registry
+            .build(spec)
             .unwrap_or_else(|e| panic!("unresolvable spec `{spec}`: {e}"));
         TimedReorder::run_with(t.as_ref(), graph, kind, &self.pool)
     }
@@ -713,27 +693,7 @@ impl Session {
         spec: &TechniqueSpec,
         kind: DegreeKind,
     ) -> Arc<TimedReorder> {
-        let Ok(timed) = self.reorder_of(ds, &|| Ok::<_, Infallible>(self.graph(ds)), spec, kind);
-        timed
-    }
-
-    /// [`Session::dataset_reorder`], asking `base` for the dataset's
-    /// graph only if the permutation must be built. A `base` error is
-    /// returned and not cached.
-    fn reorder_of<E>(
-        &self,
-        ds: &DatasetSpec,
-        base: &dyn Fn() -> Result<Arc<Csr>, E>,
-        spec: &TechniqueSpec,
-        kind: DegreeKind,
-    ) -> Result<Arc<TimedReorder>, E> {
-        let key = (ds.clone(), spec.clone(), Self::canonical_kind(spec, kind));
-        let canonical = key.2;
-        self.reorders.get_or_try_build(&key, || {
-            let graph = base()?;
-            self.log(&format!("reordering {} with {}", ds.label(), spec.label()));
-            Ok(self.reorder_with_kind(&graph, spec, canonical))
-        })
+        self.stage(ds, |cx| JobCx::reorder(cx, spec, kind))
     }
 
     /// The reordered CSR for `spec` on `ds` using `kind` degrees,
@@ -746,27 +706,7 @@ impl Session {
         spec: &TechniqueSpec,
         kind: DegreeKind,
     ) -> Arc<Csr> {
-        self.reordered_of(ds, &|| self.graph(ds), spec, kind)
-    }
-
-    /// [`Session::reordered_graph`], asking `base` for the dataset's
-    /// graph only if the relabeled graph or its permutation must be
-    /// built.
-    fn reordered_of(
-        &self,
-        ds: &DatasetSpec,
-        base: &dyn Fn() -> Arc<Csr>,
-        spec: &TechniqueSpec,
-        kind: DegreeKind,
-    ) -> Arc<Csr> {
-        let key = (ds.clone(), spec.clone(), Self::canonical_kind(spec, kind));
-        self.reordered.get_or_build(&key, || {
-            let graph = base();
-            let Ok(timed) =
-                self.reorder_of(ds, &|| Ok::<_, Infallible>(Arc::clone(&graph)), spec, kind);
-            self.log(&format!("rebuilding {} under {}", ds.label(), spec.label()));
-            graph.apply_permutation_with(&timed.permutation, &self.pool)
-        })
+        self.stage(ds, |cx| JobCx::reordered(cx, spec, kind))
     }
 
     /// Deterministic roots on the ORIGINAL graph: vertices with both
@@ -777,39 +717,7 @@ impl Session {
     /// aggregated simulation). A graph without candidates is rooted at
     /// vertex 0; an empty graph has no roots.
     pub fn roots(&self, ds: &DatasetSpec, count: usize) -> Vec<VertexId> {
-        self.roots_of(ds, &|| self.graph(ds), count)
-    }
-
-    /// [`Session::roots`], asking `base` for the dataset's graph only
-    /// if its root candidates must be found, or it has none.
-    fn roots_of(
-        &self,
-        ds: &DatasetSpec,
-        base: &dyn Fn() -> Arc<Csr>,
-        count: usize,
-    ) -> Vec<VertexId> {
-        // The root candidates: vertices with both in- and out-edges.
-        let candidates = self.root_candidates.get_or_build(ds, || {
-            let g = base();
-            (0..g.num_vertices() as VertexId)
-                .filter(|&v| g.out_degree(v) > 0 && g.in_degree(v) > 0)
-                .collect()
-        });
-        if candidates.is_empty() {
-            return if base().num_vertices() == 0 {
-                Vec::new()
-            } else {
-                vec![0]
-            };
-        }
-        let k = count.max(1).min(candidates.len());
-        (0..k)
-            .map(|i| {
-                let idx = (i * candidates.len() / k + candidates.len() / (2 * k))
-                    .min(candidates.len() - 1);
-                candidates[idx]
-            })
-            .collect()
+        self.stage(ds, |cx| JobCx::roots(cx, count))
     }
 
     /// Traced run of a job, cached. Root-dependent apps aggregate the
@@ -817,32 +725,7 @@ impl Session {
     /// the paper's methodology. Concurrent requests for the same job
     /// coalesce into one traced execution.
     pub fn run(&self, job: &Job) -> Arc<RunStats> {
-        let Ok(stats) = self.run_of(job, &|| Ok::<_, Infallible>(self.graph(&job.dataset)));
-        stats
-    }
-
-    /// [`Session::run`], asking `base` for the dataset's graph only if
-    /// the run must be traced. A `base` error is returned and not
-    /// cached.
-    fn run_of<E>(
-        &self,
-        job: &Job,
-        base: &dyn Fn() -> Result<Arc<Csr>, E>,
-    ) -> Result<Arc<RunStats>, E> {
-        let key = (job.app.clone(), job.dataset.clone(), job.technique.clone());
-        self.runs.get_or_try_build(&key, || {
-            self.log(&format!(
-                "tracing {} on {} / {}",
-                job.app.label(),
-                job.dataset.label(),
-                job.technique
-                    .as_ref()
-                    .map_or_else(|| "Original".to_owned(), TechniqueSpec::label)
-            ));
-            let (graph, roots) = self.prepared(job, &base()?);
-            let stats = self.run_traced(&job.app, &graph, &roots);
-            Ok(RunStats { stats })
-        })
+        self.stage(&job.dataset, |cx| JobCx::run(cx, job))
     }
 
     /// Untraced wall-clock run (same work as [`Session::run`]), cached.
@@ -864,14 +747,7 @@ impl Session {
     /// With one pool thread (`LGR_THREADS=1`) every app runs the
     /// sequential kernel [`Session::run`] traces.
     pub fn wall(&self, job: &Job) -> Duration {
-        let key = (job.app.clone(), job.dataset.clone(), job.technique.clone());
-        *self.walls.get_or_build(&key, || {
-            let base = self.graph(&job.dataset);
-            let (graph, roots) = self.prepared(job, &base);
-            let start = Instant::now();
-            self.execute_pooled(&job.app, &graph, &roots);
-            start.elapsed()
-        })
+        self.stage(&job.dataset, |cx| JobCx::wall(cx, job))
     }
 
     /// [`Session::try_report`], panicking where it errors.
@@ -880,8 +756,7 @@ impl Session {
     ///
     /// Panics if the dataset fails to materialize.
     pub fn report(&self, job: &Job) -> Report {
-        self.try_report(job)
-            .unwrap_or_else(|e| panic!("dataset `{}`: {e}", job.dataset))
+        self.stage(&job.dataset, |cx| JobCx::report(cx, job))
     }
 
     /// Runs a job and flattens the outcome (plus its baseline
@@ -895,80 +770,21 @@ impl Session {
     /// [`DatasetError`] when the dataset is needed and fails to
     /// materialize (a missing or malformed file, say).
     pub fn try_report(&self, job: &Job) -> Result<Report, DatasetError> {
-        let graph = OnceCell::new();
-        self.report_of(job, &|| {
-            if let Some(g) = graph.get() {
-                return Ok(Arc::clone(g));
-            }
-            let g = self.try_graph(&job.dataset)?;
-            Ok(Arc::clone(graph.get_or_init(|| g)))
-        })
+        JobCx::report(&JobCx::new(self, &job.dataset), job)
     }
 
-    /// [`Session::try_report`] with the dataset's graph supplied by
-    /// `base`.
-    fn report_of(
-        &self,
-        job: &Job,
-        base: &dyn Fn() -> Result<Arc<Csr>, DatasetError>,
-    ) -> Result<Report, DatasetError> {
-        let stats = self.run_of(job, base)?;
-        let baseline = Job::new(job.app.clone(), job.dataset.clone());
-        let base_stats = self.run_of(&baseline, base)?;
-        let (technique, spec, reorder_ms) = match &job.technique {
-            None => (
-                "Original".to_owned(),
-                TechniqueSpec::original().to_string(),
-                None,
-            ),
-            Some(spec) => {
-                let kind = job.app.id().reorder_degree();
-                let timed = self.reorder_of(&job.dataset, base, spec, kind)?;
-                (
-                    spec.label(),
-                    spec.to_string(),
-                    Some(timed.elapsed.as_secs_f64() * 1e3),
-                )
-            }
-        };
-        Ok(Report {
-            app: job.app.label().to_owned(),
-            app_spec: job.app.to_string(),
-            dataset: job.dataset.label(),
-            dataset_spec: job.dataset.to_string(),
-            technique,
-            spec,
-            cycles: stats.cycles(),
-            instructions: stats.stats.instructions,
-            mpki: stats.stats.mpki(),
-            reorder_ms,
-            speedup: speedup_ratio(base_stats.cycles() as f64, stats.cycles() as f64),
-        })
-    }
-
-    /// Builds the (possibly reordered) graph and maps roots through the
-    /// permutation, handing `base` to every build that needs it.
-    fn prepared(&self, job: &Job, base: &Arc<Csr>) -> (Arc<Csr>, Vec<VertexId>) {
-        let base_of = || Arc::clone(base);
-        // Radii needs its 64 BFS sources fixed in *logical* vertex
-        // terms so every ordering computes the same problem.
-        let count = if job.app.id() == AppId::Radii {
-            job.app.sources().unwrap_or(64)
-        } else {
-            job.app.roots().unwrap_or(self.cfg.roots)
-        };
-        let roots = self.roots_of(&job.dataset, &base_of, count);
-        match &job.technique {
-            None => (base_of(), roots),
-            Some(spec) => {
-                let kind = job.app.id().reorder_degree();
-                let Ok(timed) =
-                    self.reorder_of(&job.dataset, &|| Ok::<_, Infallible>(base_of()), spec, kind);
-                let g = self.reordered_of(&job.dataset, &base_of, spec, kind);
-                let mapped = roots.iter().map(|&r| timed.permutation.new_id(r)).collect();
-                (g, mapped)
-            }
-        }
+    /// Runs `stage` on a fresh [`JobCx`] for `ds`, panicking if the
+    /// dataset fails to materialize: the one panic of every accessor
+    /// that takes its dataset as valid. Callers name the stage by path
+    /// (`JobCx::run(cx, job)`), which `cargo xtask audit`'s call graph
+    /// resolves to that one method; `cx.run(job)` on the untyped
+    /// closure parameter would resolve to every `run` in the workspace.
+    fn stage<'s, T>(
+        &'s self,
+        ds: &'s DatasetSpec,
+        stage: impl FnOnce(&JobCx<'s>) -> Result<T, DatasetError>,
+    ) -> T {
+        stage(&JobCx::new(self, ds)).unwrap_or_else(|e| panic!("dataset `{ds}`: {e}"))
     }
 
     fn pr_config(&self, app: &AppSpec) -> PrConfig {
@@ -1247,6 +1063,179 @@ impl Session {
     /// The five applications, after selection.
     pub fn eval_apps(&self) -> Vec<AppSpec> {
         self.selected_apps(&AppSpec::all())
+    }
+}
+
+/// One public call's context for a job: the session, the dataset, and
+/// the dataset's graph, fetched through [`Session::try_graph`] at most
+/// once and only when a build needs it. Each stage looks its result up
+/// in a session cache and on a miss builds it from the stages before
+/// it; a dataset error is returned, not cached.
+struct JobCx<'s> {
+    session: &'s Session,
+    ds: &'s DatasetSpec,
+    graph: OnceCell<Arc<Csr>>,
+}
+
+impl<'s> JobCx<'s> {
+    fn new(session: &'s Session, ds: &'s DatasetSpec) -> Self {
+        JobCx {
+            session,
+            ds,
+            graph: OnceCell::new(),
+        }
+    }
+
+    /// The dataset's graph in its original ordering, fetched on first
+    /// use and shared by every later stage of this context.
+    fn graph(&self) -> Result<Arc<Csr>, DatasetError> {
+        if let Some(g) = self.graph.get() {
+            return Ok(Arc::clone(g));
+        }
+        let g = self.session.try_graph(self.ds)?;
+        Ok(Arc::clone(self.graph.get_or_init(|| g)))
+    }
+
+    /// The cache key of `spec`'s permutation under `kind` degrees:
+    /// techniques whose permutation ignores the degree kind share one
+    /// entry.
+    fn reorder_key(&self, spec: &TechniqueSpec, kind: DegreeKind) -> ReorderKey {
+        let kind = if spec.uses_degree_kind() {
+            kind
+        } else {
+            DegreeKind::Out
+        };
+        (self.ds.clone(), spec.clone(), kind)
+    }
+
+    /// [`Session::dataset_reorder`].
+    fn reorder(
+        &self,
+        spec: &TechniqueSpec,
+        kind: DegreeKind,
+    ) -> Result<Arc<TimedReorder>, DatasetError> {
+        let (s, ds, key) = (self.session, self.ds, self.reorder_key(spec, kind));
+        s.reorders.get_or_try_build(&key, || {
+            let graph = self.graph()?;
+            s.log(&format!("reordering {} with {}", ds.label(), spec.label()));
+            Ok(s.reorder_with_kind(&graph, spec, key.2))
+        })
+    }
+
+    /// [`Session::reordered_graph`].
+    fn reordered(&self, spec: &TechniqueSpec, kind: DegreeKind) -> Result<Arc<Csr>, DatasetError> {
+        let (s, ds, key) = (self.session, self.ds, self.reorder_key(spec, kind));
+        s.reordered.get_or_try_build(&key, || {
+            let graph = self.graph()?;
+            let timed = self.reorder(spec, kind)?;
+            s.log(&format!("rebuilding {} under {}", ds.label(), spec.label()));
+            Ok(graph.apply_permutation_with(&timed.permutation, &s.pool))
+        })
+    }
+
+    /// [`Session::roots`].
+    fn roots(&self, count: usize) -> Result<Vec<VertexId>, DatasetError> {
+        // The root candidates: vertices with both in- and out-edges.
+        let candidates = self.session.root_candidates.get_or_try_build(self.ds, || {
+            self.graph().map(|g| {
+                (0..g.num_vertices() as VertexId)
+                    .filter(|&v| g.out_degree(v) > 0 && g.in_degree(v) > 0)
+                    .collect()
+            })
+        })?;
+        if candidates.is_empty() {
+            return Ok(if self.graph()?.num_vertices() == 0 {
+                Vec::new()
+            } else {
+                vec![0]
+            });
+        }
+        let k = count.max(1).min(candidates.len());
+        Ok((0..k)
+            .map(|i| {
+                let idx = (i * candidates.len() / k + candidates.len() / (2 * k))
+                    .min(candidates.len() - 1);
+                candidates[idx]
+            })
+            .collect())
+    }
+
+    /// The (possibly reordered) graph `job` runs on and its roots,
+    /// mapped through the permutation. Reads the graph first, then the
+    /// roots, the permutation and the relabelled graph.
+    fn prepared(&self, job: &Job) -> Result<(Arc<Csr>, Vec<VertexId>), DatasetError> {
+        let graph = self.graph()?;
+        // Radii needs its 64 BFS sources fixed in *logical* vertex
+        // terms so every ordering computes the same problem.
+        let count = if job.app.id() == AppId::Radii {
+            job.app.sources().unwrap_or(64)
+        } else {
+            job.app.roots().unwrap_or(self.session.cfg.roots)
+        };
+        let roots = self.roots(count)?;
+        let Some(spec) = &job.technique else {
+            return Ok((graph, roots));
+        };
+        let kind = job.app.id().reorder_degree();
+        let timed = self.reorder(spec, kind)?;
+        let mapped = roots.iter().map(|&r| timed.permutation.new_id(r)).collect();
+        Ok((self.reordered(spec, kind)?, mapped))
+    }
+
+    /// [`Session::run`] of a job on this context's dataset.
+    fn run(&self, job: &Job) -> Result<Arc<RunStats>, DatasetError> {
+        let s = self.session;
+        s.runs.get_or_try_build(job, || {
+            s.log(&format!(
+                "tracing {} on {} / {}",
+                job.app.label(),
+                job.dataset.label(),
+                job.technique
+                    .as_ref()
+                    .map_or_else(|| "Original".to_owned(), TechniqueSpec::label)
+            ));
+            let (graph, roots) = self.prepared(job)?;
+            let stats = s.run_traced(&job.app, &graph, &roots);
+            Ok(RunStats { stats })
+        })
+    }
+
+    /// [`Session::wall`] of a job on this context's dataset.
+    fn wall(&self, job: &Job) -> Result<Duration, DatasetError> {
+        let s = self.session;
+        let wall = s.walls.get_or_try_build(job, || {
+            let (graph, roots) = self.prepared(job)?;
+            let start = Instant::now();
+            s.execute_pooled(&job.app, &graph, &roots);
+            Ok(start.elapsed())
+        });
+        wall.map(|w| *w)
+    }
+
+    /// [`Session::try_report`] of a job on this context's dataset.
+    fn report(&self, job: &Job) -> Result<Report, DatasetError> {
+        let stats = self.run(job)?;
+        let base_stats = self.run(&Job::new(job.app.clone(), job.dataset.clone()))?;
+        let (spec, reorder_ms) = match &job.technique {
+            None => (TechniqueSpec::original(), None),
+            Some(spec) => {
+                let timed = self.reorder(spec, job.app.id().reorder_degree())?;
+                (spec.clone(), Some(timed.elapsed.as_secs_f64() * 1e3))
+            }
+        };
+        Ok(Report {
+            app: job.app.label().to_owned(),
+            app_spec: job.app.to_string(),
+            dataset: job.dataset.label(),
+            dataset_spec: job.dataset.to_string(),
+            technique: spec.label(),
+            spec: spec.to_string(),
+            cycles: stats.cycles(),
+            instructions: stats.stats.instructions,
+            mpki: stats.stats.mpki(),
+            reorder_ms,
+            speedup: speedup_ratio(base_stats.cycles() as f64, stats.cycles() as f64),
+        })
     }
 }
 
@@ -1729,6 +1718,75 @@ mod tests {
         let s = tiny();
         let spec: DatasetSpec = "file:/nonexistent/missing.el".parse().unwrap();
         assert!(matches!(s.try_graph(&spec), Err(DatasetError::Load { .. })));
+    }
+
+    #[test]
+    fn a_failed_job_caches_nothing_and_its_session_recovers() {
+        let dir = std::env::temp_dir().join(format!("lgr-session-late-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("late.el");
+        let spec: DatasetSpec = format!("file:{}", path.display()).parse().unwrap();
+        let job = Job::new(AppSpec::new(AppId::Pr), spec).with_technique(TechniqueSpec::dbg());
+        let s = tiny();
+        assert!(matches!(s.try_report(&job), Err(DatasetError::Load { .. })));
+        let slots = [
+            s.graphs.tracked_slots(),
+            s.reorders.tracked_slots(),
+            s.reordered.tracked_slots(),
+            s.root_candidates.tracked_slots(),
+            s.runs.tracked_slots(),
+            s.walls.tracked_slots(),
+        ];
+        assert_eq!(slots, [0; 6], "an abandoned build leaves no slot");
+        for (name, stats) in s.cache_stats().named() {
+            assert_eq!(stats.entries, 0, "{name}");
+        }
+        // The error was not cached: once the file exists, the same
+        // session reports the job.
+        std::fs::write(&path, "0 1\n1 2\n2 0\n").unwrap();
+        let report = s.try_report(&job).unwrap();
+        assert_eq!(
+            (report.dataset.as_str(), report.technique.as_str()),
+            ("late", "DBG")
+        );
+        assert!(report.cycles > 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn one_call_per_accessor_moves_the_pinned_counters() {
+        let s = tiny();
+        let (pr, dbg) = (AppSpec::new(AppId::Pr), TechniqueSpec::dbg());
+        let job = Job::new(pr.clone(), lj()).with_technique(dbg.clone());
+        s.dataset_reorder(&lj(), &dbg, DegreeKind::Out);
+        s.reordered_graph(&lj(), &dbg, DegreeKind::Out);
+        s.roots(&lj(), 4);
+        s.run(&job);
+        s.wall(&job);
+        s.report(&job);
+        s.speedup(&pr, &lj(), &dbg);
+        let unbounded = |hits, misses, resident_bytes, entries| CacheStats {
+            hits,
+            misses,
+            evictions: 0,
+            resident_bytes,
+            entries,
+            budget_bytes: None,
+        };
+        let stats = s.cache_stats();
+        // Each build reads the graph once, first; a prepared run then
+        // looks up roots, the permutation and the relabelled graph.
+        // The report's baseline run is the second `runs` miss.
+        let expected = SessionCacheStats {
+            graphs: unbounded(5, 1, 15584, 1),
+            reorders: unbounded(4, 1, 296, 1),
+            reordered: unbounded(2, 1, 15584, 1),
+            roots: unbounded(3, 1, 280, 1),
+            runs: unbounded(3, 2, 192, 2),
+            walls: unbounded(0, 1, 16, 1),
+        };
+        assert_eq!(stats, expected, "{stats}");
     }
 
     #[test]

@@ -7,8 +7,11 @@
 //! wl, fr, mp) — plus two no-skew graphs (uni, road). Each analogue
 //! preserves the *relative* vertex count, average degree, structure
 //! class, and skew level of its original; absolute sizes scale with
-//! [`DatasetScale`] so experiments run on a laptop while keeping the
-//! property-array : LLC size ratio of the paper (see DESIGN.md §3).
+//! [`DatasetScale`] so experiments run on a laptop. The simulated
+//! machine does not scale with them: `lgr_cachesim::SimConfig`'s
+//! default geometry is fixed, so the hot footprint : LLC ratio comes
+//! near the paper's regime only around the default scale (2^17 `sd`
+//! vertices) and falls far below it at smaller scales.
 
 use crate::gen::{community, rmat, road_grid, CommunityConfig, RmatConfig, RoadConfig};
 use crate::EdgeList;

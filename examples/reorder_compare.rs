@@ -6,6 +6,10 @@
 //! cargo run --release --example reorder_compare [dataset]
 //! ```
 
+mod common;
+
+use std::io::{self, Write};
+use std::process::ExitCode;
 use std::time::Instant;
 
 use graph_reorder::graph::datasets::{build, DatasetId, DatasetScale};
@@ -27,32 +31,39 @@ fn simulated_pr_cycles(graph: &Csr) -> u64 {
     sim.stats().cycles
 }
 
-fn main() {
+fn main() -> ExitCode {
     let name = std::env::args().nth(1).unwrap_or_else(|| "mp".to_owned());
     let Some(id) = DatasetId::from_name(&name) else {
-        eprintln!("unknown dataset {name}");
-        std::process::exit(1);
+        let _ = writeln!(io::stderr().lock(), "unknown dataset {name}");
+        return ExitCode::FAILURE;
     };
+    common::exit_code(run(id, &mut io::stdout().lock()))
+}
+
+fn run(id: DatasetId, out: &mut impl Write) -> io::Result<()> {
     let scale = DatasetScale::with_sd_vertices(1 << 16);
-    println!("dataset '{}' at sd=2^16 scale...", id.name());
+    writeln!(out, "dataset '{}' at sd=2^16 scale...", id.name())?;
     let el = build(id, scale);
     let graph = Csr::from_edge_list(&el);
-    println!(
+    writeln!(
+        out,
         "  {} vertices, {} edges\n",
         graph.num_vertices(),
         graph.num_edges()
-    );
+    )?;
 
     let base_cycles = simulated_pr_cycles(&graph);
-    println!(
+    writeln!(
+        out,
         "{:<14} {:>12} {:>12} {:>10} {:>10}",
         "technique", "reorder(ms)", "PR cycles", "speedup", "preserved"
-    );
-    println!("{}", "-".repeat(64));
-    println!(
+    )?;
+    writeln!(out, "{}", "-".repeat(64))?;
+    writeln!(
+        out,
         "{:<14} {:>12} {:>12} {:>10} {:>10}",
         "Original", "-", base_cycles, "-", "100%"
-    );
+    )?;
 
     let techniques: Vec<(&str, Box<dyn ReorderingTechnique>)> = vec![
         ("Sort", Box::new(Sort::new())),
@@ -70,12 +81,16 @@ fn main() {
         let reorder_ms = start.elapsed().as_secs_f64() * 1e3;
         let reordered = graph.apply_permutation(&perm);
         let cycles = simulated_pr_cycles(&reordered);
-        println!(
+        writeln!(
+            out,
             "{name:<14} {reorder_ms:>12.1} {cycles:>12} {:>9.1}% {:>9.0}%",
             (base_cycles as f64 / cycles as f64 - 1.0) * 100.0,
             perm.adjacency_preservation() * 100.0
-        );
+        )?;
     }
-    println!("\nNote how Gorder's reordering time dwarfs the skew-aware techniques,");
-    println!("and how DBG combines low cost, high preservation, and high speedup.");
+    writeln!(
+        out,
+        "\nNote how Gorder's reordering time dwarfs the skew-aware techniques,\n\
+         and how DBG combines low cost, high preservation, and high speedup."
+    )
 }

@@ -6,27 +6,35 @@
 //! cargo run --release --example traversal_queries [num_queries]
 //! ```
 
+mod common;
+
+use std::io::{self, Write};
+use std::process::ExitCode;
 use std::time::Instant;
 
 use graph_reorder::graph::datasets::{build, DatasetId, DatasetScale};
 use graph_reorder::prelude::*;
 
-fn main() {
+fn main() -> ExitCode {
     let queries: usize = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(16);
+    common::exit_code(run(queries, &mut io::stdout().lock()))
+}
 
+fn run(queries: usize, out: &mut impl Write) -> io::Result<()> {
     let scale = DatasetScale::with_sd_vertices(1 << 16);
-    println!("building 'fr' (structured social-network analogue)...");
+    writeln!(out, "building 'fr' (structured social-network analogue)...")?;
     let mut el = build(DatasetId::Fr, scale);
     el.randomize_weights(64, 11);
     let graph = Csr::from_edge_list(&el);
-    println!(
+    writeln!(
+        out,
         "  {} vertices, {} edges; serving {queries} SSSP queries\n",
         graph.num_vertices(),
         graph.num_edges()
-    );
+    )?;
 
     // Deterministic query roots (spread over well-connected vertices).
     let roots: Vec<u32> = (0..graph.num_vertices() as u32)
@@ -72,15 +80,17 @@ fn main() {
     let query_time = t2.elapsed();
 
     assert_eq!(checksum_base, checksum_dbg, "reordering changed answers!");
-    println!("original ordering: {queries} queries in {:?}", base_time);
-    println!(
+    writeln!(out, "original ordering: {queries} queries in {base_time:?}")?;
+    writeln!(
+        out,
         "DBG:               reorder {:?} + {queries} queries in {:?}",
         reorder_time, query_time
-    );
+    )?;
     let net = base_time.as_secs_f64() / (reorder_time + query_time).as_secs_f64();
-    println!(
+    writeln!(
+        out,
         "net speedup including reordering cost: {:+.1}%",
         (net - 1.0) * 100.0
-    );
-    println!("(distances verified identical under both orderings)");
+    )?;
+    writeln!(out, "(distances verified identical under both orderings)")
 }
