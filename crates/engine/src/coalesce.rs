@@ -187,10 +187,12 @@ impl<K, V> Entries<K, V> {
 /// use lgr_engine::coalesce::CoalescingCache;
 ///
 /// let cache: CoalescingCache<String, usize> = CoalescingCache::new(None);
-/// let v = cache.get_or_build(&"answer".to_owned(), || 42);
+/// let v = cache.get_or_try_build::<()>(&"answer".to_owned(), || Ok(42)).unwrap();
 /// assert_eq!(*v, 42);
 /// // A second request is a hit: the builder does not run again.
-/// let w = cache.get_or_build(&"answer".to_owned(), || unreachable!());
+/// let w = cache
+///     .get_or_try_build::<()>(&"answer".to_owned(), || unreachable!())
+///     .unwrap();
 /// assert!(std::sync::Arc::ptr_eq(&v, &w));
 /// assert_eq!(cache.stats().hits, 1);
 /// ```
@@ -323,23 +325,14 @@ where
     /// builds (with no lock held beyond the key's in-flight marker),
     /// the rest block until the result is published and then share it.
     ///
+    /// A builder error is returned to the building caller and **not**
+    /// cached — waiting threads wake and one of them retries the
+    /// build, and a slot abandoned with no waiters is removed from the
+    /// map.
+    ///
     /// `build` must not re-enter the cache under the *same* key (that
     /// would self-deadlock); consulting other keys or other caches is
     /// fine.
-    pub fn get_or_build(&self, key: &K, build: impl FnOnce() -> V) -> Arc<V>
-    where
-        V: CacheWeight,
-    {
-        match self.get_or_try_build(key, || Ok::<V, std::convert::Infallible>(build())) {
-            Ok(v) => v,
-            Err(e) => match e {},
-        }
-    }
-
-    /// Fallible [`CoalescingCache::get_or_build`]: a builder error is
-    /// returned to the building caller and **not** cached — waiting
-    /// threads wake and one of them retries the build, and a slot
-    /// abandoned with no waiters is removed from the map.
     pub fn get_or_try_build<E>(
         &self,
         key: &K,
@@ -530,8 +523,9 @@ mod tests {
         let cache: CoalescingCache<u32, String> = CoalescingCache::new(None);
         assert!(cache.get(&7).is_none());
         assert!(cache.is_empty());
-        let a = cache.get_or_build(&7, || "seven".to_owned());
-        let b = cache.get_or_build(&7, || panic!("must not rebuild"));
+        let a = cache.get_or_try_build::<()>(&7, || Ok("seven".to_owned()));
+        let b = cache.get_or_try_build::<()>(&7, || panic!("must not rebuild"));
+        let (a, b) = (a.unwrap(), b.unwrap());
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.len(), 1);
         assert_eq!(*cache.get(&7).unwrap(), "seven");
@@ -556,12 +550,13 @@ mod tests {
                         // Rotate the key order per thread so lookups
                         // and builds genuinely interleave.
                         let key = (i + t as u32) % KEYS;
-                        let v = cache.get_or_build(&key, || {
+                        let v = cache.get_or_try_build::<()>(&key, || {
                             builds.fetch_add(1, Ordering::SeqCst);
                             // Widen the build window so waiters pile up.
                             std::thread::sleep(Duration::from_millis(10));
-                            key * 100
+                            Ok(key * 100)
                         });
+                        let v = v.unwrap();
                         assert_eq!(*v, key * 100);
                     }
                 });
@@ -610,7 +605,7 @@ mod tests {
         );
         assert_eq!(cache.len(), 0);
         // The keys remain perfectly usable afterwards.
-        assert_eq!(*cache.get_or_build(&17, || 99), 99);
+        assert_eq!(*cache.get_or_try_build::<()>(&17, || Ok(99)).unwrap(), 99);
         assert_eq!(cache.tracked_slots(), 1);
     }
 
@@ -618,20 +613,23 @@ mod tests {
     fn a_panicking_builder_does_not_wedge_the_slot() {
         let cache: CoalescingCache<u8, u8> = CoalescingCache::new(None);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cache.get_or_build(&3, || panic!("builder exploded"));
+            let _ = cache.get_or_try_build::<()>(&3, || panic!("builder exploded"));
         }));
         assert!(r.is_err());
         // The slot was rolled back (and the map entry removed); a
         // later build succeeds.
         assert_eq!(cache.tracked_slots(), 0);
-        assert_eq!(*cache.get_or_build(&3, || 5), 5);
+        assert_eq!(*cache.get_or_try_build::<()>(&3, || Ok(5)).unwrap(), 5);
     }
 
     #[test]
     fn distinct_keys_build_independently() {
         let cache: CoalescingCache<u64, u64> = CoalescingCache::new(None);
         for k in 0..100u64 {
-            assert_eq!(*cache.get_or_build(&k, || k * k), k * k);
+            assert_eq!(
+                *cache.get_or_try_build::<()>(&k, || Ok(k * k)).unwrap(),
+                k * k
+            );
         }
         assert_eq!(cache.len(), 100);
     }
@@ -644,7 +642,8 @@ mod tests {
         let budget = (4 * value_bytes) as u64;
         let cache: CoalescingCache<u32, Vec<u8>> = CoalescingCache::new(Some(budget));
         for k in 0..16u32 {
-            let v = cache.get_or_build(&k, || vec![k as u8; 1024]);
+            let v = cache.get_or_try_build::<()>(&k, || Ok(vec![k as u8; 1024]));
+            let v = v.unwrap();
             assert_eq!(v.len(), 1024);
             assert!(
                 cache.stats().resident_bytes <= budget,
@@ -655,14 +654,16 @@ mod tests {
         assert!(stats.evictions >= 12, "evictions: {}", stats.evictions);
         assert!(stats.entries <= 4);
         // Evicted keys rebuild on demand, correctly.
-        let rebuilt = cache.get_or_build(&0, || vec![0u8; 1024]);
+        let rebuilt = cache.get_or_try_build::<()>(&0, || Ok(vec![0u8; 1024]));
+        let rebuilt = rebuilt.unwrap();
         assert_eq!(rebuilt.len(), 1024);
     }
 
     #[test]
     fn an_entry_larger_than_the_budget_is_served_but_not_retained() {
         let cache: CoalescingCache<u8, Vec<u8>> = CoalescingCache::new(Some(64));
-        let v = cache.get_or_build(&1, || vec![7u8; 4096]);
+        let v = cache.get_or_try_build::<()>(&1, || Ok(vec![7u8; 4096]));
+        let v = v.unwrap();
         assert_eq!(v.len(), 4096, "oversized values still build and serve");
         assert_eq!(cache.stats().resident_bytes, 0);
         assert_eq!(cache.stats().evictions, 1);
@@ -673,12 +674,16 @@ mod tests {
         let value_bytes = (std::mem::size_of::<Vec<u8>>() + 512) as u64;
         let cache: CoalescingCache<u8, Vec<u8>> = CoalescingCache::new(Some(3 * value_bytes));
         for k in 0..3u8 {
-            cache.get_or_build(&k, || vec![k; 512]);
+            cache
+                .get_or_try_build::<()>(&k, || Ok(vec![k; 512]))
+                .unwrap();
         }
         // Touch 0 and 1; inserting 3 must evict 2.
-        cache.get_or_build(&0, || unreachable!());
-        cache.get_or_build(&1, || unreachable!());
-        cache.get_or_build(&3, || vec![3; 512]);
+        cache.get_or_try_build::<()>(&0, || unreachable!()).unwrap();
+        cache.get_or_try_build::<()>(&1, || unreachable!()).unwrap();
+        cache
+            .get_or_try_build::<()>(&3, || Ok(vec![3; 512]))
+            .unwrap();
         assert!(cache.get(&2).is_none(), "coldest entry evicted");
         assert!(cache.get(&0).is_some() && cache.get(&1).is_some() && cache.get(&3).is_some());
     }
@@ -694,18 +699,20 @@ mod tests {
             let (cache, barrier) = (Arc::clone(&cache), Arc::clone(&barrier));
             std::thread::spawn(move || {
                 barrier.wait();
-                cache.get_or_build(&1000, || {
+                cache.get_or_try_build::<()>(&1000, || {
                     std::thread::sleep(Duration::from_millis(60));
-                    vec![9u8; 512]
+                    Ok(vec![9u8; 512])
                 })
             })
         };
         barrier.wait();
         // Hammer the budget while the slow build is in flight.
         for k in 0..64u32 {
-            cache.get_or_build(&k, || vec![k as u8; 256]);
+            cache
+                .get_or_try_build::<()>(&k, || Ok(vec![k as u8; 256]))
+                .unwrap();
         }
-        let v = slow.join().unwrap();
+        let v = slow.join().unwrap().unwrap();
         assert_eq!(*v, vec![9u8; 512]);
     }
 }

@@ -679,7 +679,7 @@ impl DatasetRegistry {
                 Ok(DatasetGraph::Edges(el))
             }
             DatasetSource::Lgr { path } => Ok(DatasetGraph::Graph(
-                lgr_io::load_lgr(path).map_err(load_err)?,
+                lgr_io::load_lgr(path, pool).map_err(load_err)?,
             )),
             DatasetSource::Custom { name, args } => {
                 let entry = self

@@ -546,11 +546,6 @@ impl Session {
         &self.registry
     }
 
-    /// Mutable registry access, for registering custom techniques.
-    pub fn registry_mut(&mut self) -> &mut TechniqueRegistry {
-        &mut self.registry
-    }
-
     /// The dataset registry specs resolve against.
     pub fn dataset_registry(&self) -> &DatasetRegistry {
         &self.dataset_registry
@@ -604,7 +599,7 @@ impl Session {
         let cache = self.cfg.dataset_cache.as_ref().map(DatasetCache::new);
         let key = ds.cache_key(self.cfg.scale);
         if let Some(cache) = &cache {
-            if let Some(g) = cache.load(&key) {
+            if let Some(g) = cache.load(&key, &self.pool) {
                 self.log(&format!("loading dataset {ds} from cache ({key})"));
                 return Ok(self.ensure_weighted(ds, g));
             }

@@ -36,11 +36,12 @@ fn concurrent_requesters_build_exactly_once() {
             .map(|_| {
                 let (cache, builds) = (Arc::clone(&cache), Arc::clone(&builds));
                 lgr_sync::thread::spawn(move || {
-                    *cache.get_or_build(&1, || {
+                    let v = cache.get_or_try_build::<()>(&1, || {
                         // ordering: Relaxed — read only after joins.
                         builds.fetch_add(1, Ordering::Relaxed);
-                        42
-                    })
+                        Ok(42)
+                    });
+                    *v.expect("the build cannot fail")
                 })
             })
             .collect();
@@ -106,10 +107,12 @@ fn publish_vs_evict_accounting_never_underflows() {
         let t = {
             let cache = Arc::clone(&cache);
             lgr_sync::thread::spawn(move || {
-                cache.get_or_build(&1, || vec![1u8; 8]);
+                let v = cache.get_or_try_build::<()>(&1, || Ok(vec![1u8; 8]));
+                v.expect("the build cannot fail");
             })
         };
-        cache.get_or_build(&2, || vec![2u8; 8]);
+        let v = cache.get_or_try_build::<()>(&2, || Ok(vec![2u8; 8]));
+        v.expect("the build cannot fail");
         t.join().expect("publisher");
         let resident = cache.stats().resident_bytes;
         assert!(
@@ -132,12 +135,14 @@ fn evicted_entrys_holder_still_reads_a_valid_arc() {
             Arc::new(CoalescingCache::new(Some(vec_weight(8))));
         // Publish key 1, then race: one thread re-reads 1 while the
         // other publishes 2, whose budget enforcement evicts 1.
-        let held = cache.get_or_build(&1, || vec![1u8; 8]);
+        let held = cache.get_or_try_build::<()>(&1, || Ok(vec![1u8; 8]));
+        let held = held.expect("the build cannot fail");
         let reader = {
             let cache = Arc::clone(&cache);
             lgr_sync::thread::spawn(move || cache.get(&1))
         };
-        cache.get_or_build(&2, || vec![2u8; 8]);
+        let v = cache.get_or_try_build::<()>(&2, || Ok(vec![2u8; 8]));
+        v.expect("the build cannot fail");
         // The pre-eviction Arc is untouched by the eviction.
         assert_eq!(*held, vec![1u8; 8]);
         // The racing reader saw either the still-resident value or a

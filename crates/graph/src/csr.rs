@@ -8,35 +8,46 @@
 use std::ops::Range;
 
 use lgr_parallel::{
-    edge_balanced_ranges, even_ranges, par_chunks_mut, stable_offsets, Pool, SyncSlice,
+    edge_balanced_ranges, even_ranges, par_chunks_mut, par_fill, stable_offsets, Pool, SyncSlice,
 };
 
 use crate::{EdgeList, Permutation, VertexId, Weight};
+
+/// The canonical sort key of an edge in a weighted list: neighbor in
+/// the high half, weight in the low, so `u64` order is the order of
+/// the `(neighbor, weight)` pairs.
+fn packed(neighbor: VertexId, weight: Weight) -> u64 {
+    u64::from(neighbor) << 32 | u64::from(weight)
+}
 
 /// Canonicalizes one vertex's neighbor list: ascending neighbor IDs,
 /// weights moving with their edges. Equal `(neighbor, weight)` pairs
 /// make the result independent of the input order, which is what lets
 /// every pool size produce structurally equal (`==`) CSRs, and two
 /// edge lists describing the same multigraph build identical ones.
+/// A weighted list already in order returns before any copy.
 ///
-/// `scratch` holds the transient `(neighbor, weight)` pairs of the
-/// weighted path; callers keep one buffer per worker and reuse it
-/// across vertices, so sorting V adjacency lists costs O(max degree)
-/// transient space instead of V allocations.
+/// `scratch` holds the transient [`packed`] keys of the weighted path;
+/// callers keep one buffer per worker and reuse it across vertices,
+/// so sorting V adjacency lists costs O(max degree) transient space
+/// instead of V allocations.
 fn sort_adjacent(
     neighbors: &mut [VertexId],
     weights: Option<&mut [Weight]>,
-    scratch: &mut Vec<(VertexId, Weight)>,
+    scratch: &mut Vec<u64>,
 ) {
     match weights {
         None => neighbors.sort_unstable(),
         Some(ws) => {
+            let keys = neighbors.iter().zip(ws.iter()).map(|(&v, &w)| packed(v, w));
+            if keys.clone().is_sorted() {
+                return;
+            }
             scratch.clear();
-            scratch.extend(neighbors.iter().copied().zip(ws.iter().copied()));
+            scratch.extend(keys);
             scratch.sort_unstable();
-            for (i, &(nbr, w)) in scratch.iter().enumerate() {
-                neighbors[i] = nbr;
-                ws[i] = w;
+            for ((v, w), &key) in neighbors.iter_mut().zip(ws.iter_mut()).zip(scratch.iter()) {
+                (*v, *w) = ((key >> 32) as VertexId, key as Weight);
             }
         }
     }
@@ -577,8 +588,19 @@ impl Csr {
 
     /// Reassembles a CSR from the raw arrays of both directions — the
     /// deserialization counterpart of [`Csr::out_adjacency`] /
-    /// [`Csr::in_adjacency`], used by the `.lgr` binary loader to
-    /// reconstruct a graph with no per-edge parsing or counting sort.
+    /// [`Csr::in_adjacency`]: [`Csr::from_adjacency_parts_with`] on a
+    /// pool of one.
+    pub fn from_adjacency_parts(
+        num_vertices: usize,
+        out: (Vec<usize>, Vec<VertexId>, Option<Vec<Weight>>),
+        inn: (Vec<usize>, Vec<VertexId>, Option<Vec<Weight>>),
+    ) -> Result<Csr, CsrPartsError> {
+        Self::from_adjacency_parts_with(num_vertices, out, inn, &Pool::new(1))
+    }
+
+    /// [`Csr::from_adjacency_parts`] on the worker pool, used by the
+    /// `.lgr` binary loader to reconstruct a graph with no per-edge
+    /// parsing or counting sort.
     ///
     /// Validates the structural invariants every constructor of this
     /// type guarantees: index shape and monotonicity, neighbor-ID
@@ -588,10 +610,16 @@ impl Csr {
     /// makes CSR equality structural). It does **not** verify that the
     /// in-direction is the exact transpose of the out-direction;
     /// serialized files carry a checksum for integrity instead.
-    pub fn from_adjacency_parts(
+    ///
+    /// The two directions are checked as two jobs, each on its own
+    /// worker on a pool of two or more threads; when both are invalid,
+    /// the out-direction's error is the one returned, for every pool
+    /// size.
+    pub fn from_adjacency_parts_with(
         num_vertices: usize,
         out: (Vec<usize>, Vec<VertexId>, Option<Vec<Weight>>),
         inn: (Vec<usize>, Vec<VertexId>, Option<Vec<Weight>>),
+        pool: &Pool,
     ) -> Result<Csr, CsrPartsError> {
         if out.2.is_some() != inn.2.is_some() {
             return Err(CsrPartsError::new(
@@ -606,63 +634,13 @@ impl Csr {
                 inn.1.len()
             )));
         }
-        let validate =
-            |dir: &str,
-             (index, neighbors, weights): &(Vec<usize>, Vec<VertexId>, Option<Vec<Weight>>)|
-             -> Result<(), CsrPartsError> {
-                if index.len() != num_vertices + 1 {
-                    return Err(CsrPartsError::new(format!(
-                        "{dir} index has {} entries, expected {}",
-                        index.len(),
-                        num_vertices + 1
-                    )));
-                }
-                if index.first() != Some(&0) {
-                    return Err(CsrPartsError::new(format!("{dir} index must start at 0")));
-                }
-                if index.windows(2).any(|w| w[0] > w[1]) {
-                    return Err(CsrPartsError::new(format!("{dir} index is not monotonic")));
-                }
-                if index[num_vertices] != neighbors.len() {
-                    return Err(CsrPartsError::new(format!(
-                        "{dir} index ends at {} but there are {} neighbors",
-                        index[num_vertices],
-                        neighbors.len()
-                    )));
-                }
-                if neighbors.iter().any(|&v| v as usize >= num_vertices) {
-                    return Err(CsrPartsError::new(format!(
-                        "{dir} neighbor ID out of range for {num_vertices} vertices"
-                    )));
-                }
-                if let Some(ws) = weights {
-                    if ws.len() != neighbors.len() {
-                        return Err(CsrPartsError::new(format!(
-                            "{dir} weights length {} does not match {} neighbors",
-                            ws.len(),
-                            neighbors.len()
-                        )));
-                    }
-                }
-                for v in 0..num_vertices {
-                    let range = index[v]..index[v + 1];
-                    let sorted = match weights {
-                        None => neighbors[range.clone()].windows(2).all(|w| w[0] <= w[1]),
-                        Some(ws) => range
-                            .clone()
-                            .skip(1)
-                            .all(|i| (neighbors[i - 1], ws[i - 1]) <= (neighbors[i], ws[i])),
-                    };
-                    if !sorted {
-                        return Err(CsrPartsError::new(format!(
-                            "{dir} neighbors of vertex {v} are not in canonical order"
-                        )));
-                    }
-                }
-                Ok(())
-            };
-        validate("out", &out)?;
-        validate("in", &inn)?;
+        let dirs = [("out", &out), ("in", &inn)];
+        let mut checks = [Ok(()), Ok(())];
+        par_fill(pool, &mut checks, |k| {
+            let (dir, (index, neighbors, weights)) = dirs[k];
+            validate_direction(dir, num_vertices, index, neighbors, weights.as_deref())
+        });
+        checks.into_iter().collect::<Result<(), _>>()?;
         Ok(Csr {
             num_vertices,
             num_edges,
@@ -678,6 +656,68 @@ impl Csr {
             },
         })
     }
+}
+
+/// Checks one direction's raw arrays for [`Csr::from_adjacency_parts`],
+/// naming it `dir` in the error.
+fn validate_direction(
+    dir: &str,
+    num_vertices: usize,
+    index: &[usize],
+    neighbors: &[VertexId],
+    weights: Option<&[Weight]>,
+) -> Result<(), CsrPartsError> {
+    if index.len() != num_vertices + 1 {
+        return Err(CsrPartsError::new(format!(
+            "{dir} index has {} entries, expected {}",
+            index.len(),
+            num_vertices + 1
+        )));
+    }
+    if index.first() != Some(&0) {
+        return Err(CsrPartsError::new(format!("{dir} index must start at 0")));
+    }
+    if index.windows(2).any(|w| w[0] > w[1]) {
+        return Err(CsrPartsError::new(format!("{dir} index is not monotonic")));
+    }
+    if index[num_vertices] != neighbors.len() {
+        return Err(CsrPartsError::new(format!(
+            "{dir} index ends at {} but there are {} neighbors",
+            index[num_vertices],
+            neighbors.len()
+        )));
+    }
+    if neighbors.iter().any(|&v| v as usize >= num_vertices) {
+        return Err(CsrPartsError::new(format!(
+            "{dir} neighbor ID out of range for {num_vertices} vertices"
+        )));
+    }
+    if let Some(ws) = weights {
+        if ws.len() != neighbors.len() {
+            return Err(CsrPartsError::new(format!(
+                "{dir} weights length {} does not match {} neighbors",
+                ws.len(),
+                neighbors.len()
+            )));
+        }
+    }
+    for (v, bounds) in index.windows(2).enumerate() {
+        let range = bounds[0]..bounds[1];
+        let sorted = match weights {
+            None => neighbors[range].is_sorted(),
+            Some(ws) => neighbors[range.clone()]
+                .iter()
+                .zip(&ws[range])
+                .map(|(&n, &w)| packed(n, w))
+                .is_sorted(),
+        };
+        if !sorted {
+            return Err(CsrPartsError::new(format!(
+                "{dir} neighbors of vertex {v} are not in canonical order"
+            )));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -851,6 +891,43 @@ mod tests {
         let (mut out, inn) = parts(&g);
         out.2 = Some(vec![1; 4]);
         assert!(Csr::from_adjacency_parts(4, out, inn).is_err());
+    }
+
+    #[test]
+    fn packed_sort_is_the_pair_order() {
+        let pairs = [
+            (u32::MAX, 0),
+            (0, u32::MAX),
+            (5, 2),
+            (5, 1),
+            (u32::MAX, u32::MAX),
+            (0, 0),
+            (5, 2),
+        ];
+        let (mut nbrs, mut ws): (Vec<_>, Vec<_>) = pairs.iter().copied().unzip();
+        sort_adjacent(&mut nbrs, Some(&mut ws), &mut Vec::new());
+        let mut want = pairs.to_vec();
+        want.sort_unstable();
+        assert_eq!(nbrs.into_iter().zip(ws).collect::<Vec<_>>(), want);
+    }
+
+    #[test]
+    fn pooled_validation_returns_the_out_direction_error_first() {
+        let g = diamond();
+        for threads in 1..=3 {
+            let (o, i) = (g.out_adjacency(), g.in_adjacency());
+            let mut out = (o.index.to_vec(), o.neighbors.to_vec(), None);
+            let mut inn = (i.index.to_vec(), i.neighbors.to_vec(), None);
+            out.1.swap(0, 1);
+            inn.1[0] = 99;
+            let pool = Pool::new(threads);
+            let err = Csr::from_adjacency_parts_with(4, out, inn, &pool).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "invalid CSR parts: out neighbors of vertex 0 are not in canonical order",
+                "{threads} threads"
+            );
+        }
     }
 
     #[test]

@@ -4,6 +4,7 @@
 use std::path::{Path, PathBuf};
 
 use lgr_graph::Csr;
+use lgr_parallel::Pool;
 
 use crate::lgr::{load_lgr, save_lgr};
 use crate::{fnv1a64, IoError};
@@ -69,10 +70,10 @@ impl DatasetCache {
         ))
     }
 
-    /// Loads the cached graph for `key`, treating a missing,
-    /// unreadable, or corrupt entry as a miss.
-    pub fn load(&self, key: &str) -> Option<Csr> {
-        load_lgr(self.path(key)).ok()
+    /// Loads the cached graph for `key`, validating it on `pool`, and
+    /// treating a missing, unreadable, or corrupt entry as a miss.
+    pub fn load(&self, key: &str, pool: &Pool) -> Option<Csr> {
+        load_lgr(self.path(key), pool).ok()
     }
 
     /// Stores `csr` under `key`, creating the cache directory if
@@ -124,12 +125,12 @@ mod tests {
     fn store_then_load_round_trips() {
         let cache = tmp_cache("roundtrip");
         let g = graph();
-        assert!(cache.load("kr|sd=2048|seed=42").is_none());
+        assert!(cache.load("kr|sd=2048|seed=42", &Pool::new(2)).is_none());
         let path = cache.store("kr|sd=2048|seed=42", &g).unwrap();
         assert!(path.exists());
-        assert_eq!(cache.load("kr|sd=2048|seed=42").unwrap(), g);
+        assert_eq!(cache.load("kr|sd=2048|seed=42", &Pool::new(2)).unwrap(), g);
         // A different key is a different entry.
-        assert!(cache.load("kr|sd=4096|seed=42").is_none());
+        assert!(cache.load("kr|sd=4096|seed=42", &Pool::new(2)).is_none());
         std::fs::remove_dir_all(cache.dir()).ok();
     }
 
@@ -139,7 +140,7 @@ mod tests {
         let key = "pl|sd=2048|seed=42";
         cache.store(key, &graph()).unwrap();
         std::fs::write(cache.path(key), b"definitely not an lgr file").unwrap();
-        assert!(cache.load(key).is_none());
+        assert!(cache.load(key, &Pool::new(2)).is_none());
         std::fs::remove_dir_all(cache.dir()).ok();
     }
 

@@ -7,16 +7,19 @@
 //! * [`lgr`] — the `.lgr` binary CSR format: versioned, checksummed,
 //!   and exact. Saving serializes a [`Csr`](lgr_graph::Csr)'s raw
 //!   arrays (offsets, both adjacency directions, optional weights);
-//!   loading is one bulk read plus section copies into aligned
-//!   buffers — no per-edge parsing and no counting sort, so a reload
-//!   is bounded by disk bandwidth rather than graph-build time. The
-//!   loaded graph is structurally equal (`==`) to the saved one.
+//!   loading decodes each section in place into its final array,
+//!   through one fixed-size buffer, and validates the two directions
+//!   on a [`Pool`](lgr_parallel::Pool) — no per-edge parsing and no
+//!   counting sort, so a reload is bounded by disk bandwidth rather
+//!   than graph-build time. The loaded graph is structurally equal
+//!   (`==`) to the saved one.
 //! * [`text`] — loaders for SNAP/TSV edge lists and Matrix Market
 //!   coordinate files, parsed in parallel on a
 //!   [`Pool`](lgr_parallel::Pool) (each worker scans a
-//!   newline-aligned chunk; chunks merge in file order, so the result
-//!   is deterministic for every thread count). Malformed input
-//!   returns [`IoError`], never panics.
+//!   newline-aligned chunk once, decoding integers straight from its
+//!   bytes; chunks merge in file order, so the result is
+//!   deterministic for every thread count). Malformed input returns
+//!   [`IoError`], never panics.
 //! * [`cache`] — [`DatasetCache`], a directory of `.lgr` files keyed
 //!   by dataset-spec string + scale, giving "generate once, reload
 //!   forever" semantics to any dataset source.

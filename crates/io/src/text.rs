@@ -1,9 +1,11 @@
 //! Text graph loaders: SNAP/TSV edge lists and Matrix Market files.
 //!
 //! Both loaders parse on a worker [`Pool`]: the byte buffer is split
-//! into newline-aligned chunks, each worker parses its chunk into a
-//! private edge vector, and the chunks concatenate in file order — so
-//! the resulting [`EdgeList`] is identical for every thread count
+//! into newline-aligned chunks, and each worker scans its chunk once,
+//! finding line ends, skipping blank and comment lines, and decoding
+//! integer columns straight from the bytes into edge vectors reserved
+//! once from the chunk's length. The chunks concatenate in file order,
+//! so the resulting [`EdgeList`] is identical for every thread count
 //! (the same determinism contract as the pooled CSR builders).
 //!
 //! Malformed input returns [`IoError::Format`] with the offending
@@ -21,11 +23,11 @@ use crate::IoError;
 #[derive(Debug, Default)]
 struct Chunk {
     edges: Vec<(VertexId, VertexId)>,
+    /// Parallel to `edges` when the load is weighted, empty otherwise.
     weights: Vec<Weight>,
     max_id: VertexId,
-    /// Total data+comment lines in the chunk (or lines consumed before
-    /// the error), used to turn a chunk-local error line into a global
-    /// one.
+    /// Lines started in the chunk (or up to and including the error
+    /// line), used to turn a chunk-local error line into a global one.
     lines: usize,
     /// Data entries (non-comment, non-empty lines) parsed.
     entries: usize,
@@ -54,14 +56,10 @@ fn newline_chunks(text: &[u8], parts: usize) -> Vec<Range<usize>> {
     bounds.windows(2).map(|w| w[0]..w[1]).collect()
 }
 
-fn is_comment(line: &[u8]) -> bool {
-    matches!(line.first(), Some(b'#') | Some(b'%'))
-}
-
 /// The shortest possible data entry (`"a b\n"` with one-digit IDs)
 /// can yield two edges (a mirrored symmetric Matrix Market
 /// off-diagonal), so an honest file never produces more than
-/// `len / 2` edges. Pre-reserves are clamped to this estimate.
+/// `len / 2` edges. Declared entry counts are checked against this.
 const MIN_BYTES_PER_EDGE: usize = 2;
 
 /// Declared or implied vertex counts are bounded by a small multiple
@@ -86,58 +84,165 @@ fn check_vertex_bound(num_vertices: usize, input_len: usize, what: &str) -> Resu
     Ok(())
 }
 
-fn parse_token<T: std::str::FromStr>(token: &[u8], what: &str) -> Result<T, String> {
-    std::str::from_utf8(token)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("expected {what}, got `{}`", String::from_utf8_lossy(token)))
+/// The fewest bytes a data line takes, newline included: `a b\n`, or
+/// `a b c\n` when a third column is required.
+fn min_line_bytes(weighted: bool) -> usize {
+    if weighted {
+        6
+    } else {
+        4
+    }
 }
 
-/// Parses one chunk with a per-line closure that may emit up to two
-/// edges (Matrix Market symmetric entries mirror off-diagonals).
+/// Any run of this many decimal digits fits a `u64`.
+const MAX_U64_DIGITS: usize = 19;
+
+/// A token that is not what its column needs.
+fn expected(what: &str, token: &[u8]) -> String {
+    format!("expected {what}, got `{}`", String::from_utf8_lossy(token))
+}
+
+/// Decodes an unsigned integer from exactly the tokens `str::parse`
+/// accepts for one: an optional `+`, then one or more ASCII digits,
+/// with a value that fits `T`.
+fn decode_uint<T: TryFrom<u64>>(token: &[u8]) -> Option<T> {
+    let digits = token.strip_prefix(b"+").unwrap_or(token);
+    if digits.is_empty() {
+        return None;
+    }
+    let mut value = 0u64;
+    for &b in digits {
+        let digit = b.wrapping_sub(b'0');
+        if digit > 9 {
+            return None;
+        }
+        value = value.checked_mul(10)?.checked_add(u64::from(digit))?;
+    }
+    T::try_from(value).ok()
+}
+
+/// A byte cursor over one chunk. A token is a run of bytes that are
+/// not ASCII whitespace, and a line ends at `\n` (so a `\r` before it
+/// is one more blank): the tokens of a line are the ones
+/// `split_ascii_whitespace` would yield.
+struct Cursor<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// Skips ASCII whitespace other than `\n` and returns the byte it
+    /// stops at (`None` at the end of the chunk).
+    fn skip_blanks(&mut self) -> Option<u8> {
+        while let Some(&b) = self.bytes.get(self.pos) {
+            if b == b'\n' || !b.is_ascii_whitespace() {
+                return Some(b);
+            }
+            self.pos += 1;
+        }
+        None
+    }
+
+    /// The line's next token, or `None` at its end.
+    fn token(&mut self) -> Option<&'a [u8]> {
+        self.skip_blanks();
+        let start = self.pos;
+        while self
+            .bytes
+            .get(self.pos)
+            .is_some_and(|b| !b.is_ascii_whitespace())
+        {
+            self.pos += 1;
+        }
+        self.bytes.get(start..self.pos).filter(|t| !t.is_empty())
+    }
+
+    /// The line's next token as an unsigned integer: `missing` if the
+    /// line has no more tokens, `expected {what}` if the token is not
+    /// one.
+    fn integer<T: TryFrom<u64>>(&mut self, missing: &str, what: &str) -> Result<T, String> {
+        // Fast path, one pass over the token: digits up to a blank, few
+        // enough that the value cannot overflow a `u64`.
+        self.skip_blanks();
+        let mut end = self.pos + usize::from(self.bytes.get(self.pos) == Some(&b'+'));
+        let digits = end;
+        let mut value = 0u64;
+        while let Some(digit) = self.bytes.get(end).map(|b| b.wrapping_sub(b'0')) {
+            if digit > 9 {
+                break;
+            }
+            value = value.wrapping_mul(10).wrapping_add(u64::from(digit));
+            end += 1;
+        }
+        let ended = self.bytes.get(end).is_none_or(u8::is_ascii_whitespace);
+        if ended && (1..=MAX_U64_DIGITS).contains(&(end - digits)) {
+            if let Ok(v) = T::try_from(value) {
+                self.pos = end;
+                return Ok(v);
+            }
+        }
+        let token = self.token().ok_or_else(|| missing.to_owned())?;
+        decode_uint(token).ok_or_else(|| expected(what, token))
+    }
+
+    /// Moves past the end of the current line.
+    fn next_line(&mut self) {
+        let rest = self.bytes.get(self.pos..).unwrap_or_default();
+        self.pos += rest
+            .iter()
+            .position(|&b| b == b'\n')
+            .map_or(rest.len(), |i| i + 1);
+    }
+}
+
+/// What one data line yields: up to two weighted edges (Matrix Market
+/// symmetric entries mirror off-diagonals), or the line's error.
+type LineEdges = Result<[Option<(VertexId, VertexId, Weight)>; 2], String>;
+
+/// Parses one chunk in a single pass over its bytes: blank lines and
+/// lines whose first non-blank byte is `#` or `%` are skipped, and
+/// `line_to_edges` reads every other line from the cursor. No line
+/// yields more than one edge per `min_edge_bytes` bytes, so the edge
+/// vectors are reserved once from the chunk's length.
 fn parse_chunk<F>(
     text: &[u8],
     range: Range<usize>,
-    collect_weights: bool,
+    weighted: bool,
+    min_edge_bytes: usize,
     line_to_edges: F,
 ) -> Chunk
 where
-    F: Fn(&[u8]) -> Result<[Option<(VertexId, VertexId, Weight)>; 2], String>,
+    F: Fn(&mut Cursor<'_>) -> LineEdges,
 {
-    let slice = &text[range];
-    let ends_with_newline = slice.ends_with(b"\n");
-    let mut chunk = Chunk::default();
-    for line in slice.split(|&b| b == b'\n') {
-        let line = line.strip_suffix(b"\r").unwrap_or(line);
-        let trimmed = line
-            .iter()
-            .position(|b| !b.is_ascii_whitespace())
-            .map_or(&b""[..], |s| &line[s..]);
+    let bytes = text.get(range).unwrap_or_default();
+    let bound = (bytes.len() + 1) / min_edge_bytes.max(1);
+    let mut chunk = Chunk {
+        edges: Vec::with_capacity(bound),
+        weights: Vec::with_capacity(if weighted { bound } else { 0 }),
+        ..Chunk::default()
+    };
+    let mut cur = Cursor { bytes, pos: 0 };
+    while cur.pos < bytes.len() {
         chunk.lines += 1;
-        if trimmed.is_empty() || is_comment(trimmed) {
-            continue;
-        }
-        match line_to_edges(trimmed) {
-            Ok(emitted) => {
-                chunk.entries += 1;
-                for (u, v, w) in emitted.into_iter().flatten() {
-                    chunk.max_id = chunk.max_id.max(u).max(v);
-                    chunk.edges.push((u, v));
-                    if collect_weights {
-                        chunk.weights.push(w);
+        if !matches!(cur.skip_blanks(), None | Some(b'\n' | b'#' | b'%')) {
+            match line_to_edges(&mut cur) {
+                Ok(emitted) => {
+                    chunk.entries += 1;
+                    for (u, v, w) in emitted.into_iter().flatten() {
+                        chunk.max_id = chunk.max_id.max(u).max(v);
+                        chunk.edges.push((u, v));
+                        if weighted {
+                            chunk.weights.push(w);
+                        }
                     }
                 }
-            }
-            Err(msg) => {
-                chunk.error = Some((chunk.lines, msg));
-                return chunk;
+                Err(msg) => {
+                    chunk.error = Some((chunk.lines, msg));
+                    return chunk;
+                }
             }
         }
-    }
-    // `split` yields one trailing empty piece for text ending in '\n'.
-    // Uncount it so the next chunk's global line numbers stay exact.
-    if ends_with_newline {
-        chunk.lines -= 1;
+        cur.next_line();
     }
     chunk
 }
@@ -150,16 +255,18 @@ fn parse_lines<F>(
     pool: &Pool,
     first_line: usize,
     weighted: bool,
+    min_edge_bytes: usize,
     line_to_edges: F,
 ) -> Result<(EdgeList, usize), IoError>
 where
-    F: Fn(&[u8]) -> Result<[Option<(VertexId, VertexId, Weight)>; 2], String> + Sync,
+    F: Fn(&mut Cursor<'_>) -> LineEdges + Sync,
 {
     let ranges = newline_chunks(text, pool.threads());
     let mut chunks: Vec<Chunk> = Vec::new();
     chunks.resize_with(ranges.len(), Chunk::default);
     par_fill(pool, &mut chunks, |j| {
-        parse_chunk(text, ranges[j].clone(), weighted, &line_to_edges)
+        let range = ranges.get(j).cloned().unwrap_or_default();
+        parse_chunk(text, range, weighted, min_edge_bytes, &line_to_edges)
     });
     // Surface the first error in file order, with its global line.
     let mut lines_before = first_line;
@@ -181,23 +288,24 @@ where
         .max()
         .unwrap_or(0);
     check_vertex_bound(num_vertices, text.len(), "the largest vertex ID")?;
-    // Belt-and-braces: `total_edges` is an exact count today, but the
-    // reserve stays bounded by a bytes-derived estimate so no refactor
-    // (or hostile count) can ever make this line reserve more than a
-    // small multiple of the input's own length.
-    let reserve = total_edges.min(text.len() / MIN_BYTES_PER_EDGE + 1);
-    let mut edges = Vec::with_capacity(reserve);
-    let mut weights = if weighted {
-        Some(Vec::with_capacity(reserve))
-    } else {
-        None
-    };
+    // The first chunk's vectors become the graph's; the rest append.
+    let mut chunks = chunks.into_iter();
+    let Chunk {
+        mut edges,
+        mut weights,
+        ..
+    } = chunks.next().unwrap_or_default();
+    edges.reserve_exact(total_edges - edges.len());
+    if weighted {
+        weights.reserve_exact(total_edges - weights.len());
+    }
     for chunk in chunks {
         edges.extend_from_slice(&chunk.edges);
-        if let Some(ws) = weights.as_mut() {
-            ws.extend_from_slice(&chunk.weights);
-        }
+        weights.extend_from_slice(&chunk.weights);
     }
+    edges.shrink_to_fit();
+    weights.shrink_to_fit();
+    let weights = weighted.then_some(weights);
     Ok((EdgeList::from_parts(num_vertices, edges, weights), entries))
 }
 
@@ -209,23 +317,12 @@ where
 /// With `weighted`, a third integer column is required and becomes the
 /// edge weight; without it, any extra columns are ignored.
 pub fn parse_edge_list(text: &[u8], weighted: bool, pool: &Pool) -> Result<EdgeList, IoError> {
-    let (el, _) = parse_lines(text, pool, 0, weighted, |line| {
-        let mut tokens = line
-            .split(|b| b.is_ascii_whitespace())
-            .filter(|t| !t.is_empty());
-        let src: VertexId =
-            parse_token(tokens.next().ok_or("missing source vertex")?, "a vertex ID")?;
-        let dst: VertexId = parse_token(
-            tokens
-                .next()
-                .ok_or_else(|| "missing destination vertex".to_owned())?,
-            "a vertex ID",
-        )?;
+    let (el, _) = parse_lines(text, pool, 0, weighted, min_line_bytes(weighted), |cur| {
+        let src: VertexId = cur.integer("missing source vertex", "a vertex ID")?;
+        let dst: VertexId = cur.integer("missing destination vertex", "a vertex ID")?;
         let w: Weight = if weighted {
-            parse_token(
-                tokens
-                    .next()
-                    .ok_or_else(|| "missing weight column (spec says :weighted)".to_owned())?,
+            cur.integer(
+                "missing weight column (spec says :weighted)",
                 "an integer weight",
             )?
         } else {
@@ -279,7 +376,7 @@ pub fn parse_matrix_market(text: &[u8], weighted: bool, pool: &Pool) -> Result<E
             if lines == 1 {
                 return Ok(line); // the %%MatrixMarket banner
             }
-            if line.is_empty() || is_comment(line) {
+            if line.is_empty() || matches!(line.first(), Some(b'#' | b'%')) {
                 continue;
             }
             return Ok(line);
@@ -327,21 +424,20 @@ pub fn parse_matrix_market(text: &[u8], weighted: bool, pool: &Pool) -> Result<E
     let dims = next_line("size line `rows cols nnz`")?;
     let dims_line = lines;
     let parse_dim = |t: Option<&[u8]>| -> Result<usize, IoError> {
-        t.and_then(|t| std::str::from_utf8(t).ok())
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| {
-                IoError::Format(format!(
-                    "line {dims_line}: malformed size line `{}` (expected `rows cols nnz`)",
-                    String::from_utf8_lossy(dims)
-                ))
-            })
+        t.and_then(decode_uint).ok_or_else(|| {
+            IoError::Format(format!(
+                "line {dims_line}: malformed size line `{}` (expected `rows cols nnz`)",
+                String::from_utf8_lossy(dims)
+            ))
+        })
     };
-    let mut dtok = dims
-        .split(|b| b.is_ascii_whitespace())
-        .filter(|t| !t.is_empty());
-    let rows = parse_dim(dtok.next())?;
-    let cols = parse_dim(dtok.next())?;
-    let nnz = parse_dim(dtok.next())?;
+    let mut dtok = Cursor {
+        bytes: dims,
+        pos: 0,
+    };
+    let rows = parse_dim(dtok.token())?;
+    let cols = parse_dim(dtok.token())?;
+    let nnz = parse_dim(dtok.token())?;
     let num_vertices = rows.max(cols);
     if num_vertices > VertexId::MAX as usize {
         return Err(IoError::Format(format!(
@@ -361,28 +457,24 @@ pub fn parse_matrix_market(text: &[u8], weighted: bool, pool: &Pool) -> Result<E
         )));
     }
 
-    let has_values = value_field != "pattern";
-    let (mut el, entries) = parse_lines(rest, pool, lines, weighted, |line| {
-        let mut tokens = line
-            .split(|b| b.is_ascii_whitespace())
-            .filter(|t| !t.is_empty());
-        let i: usize = parse_token(tokens.next().ok_or("missing row index")?, "a row index")?;
-        let j: usize = parse_token(
-            tokens
-                .next()
-                .ok_or_else(|| "missing column index".to_owned())?,
-            "a column index",
-        )?;
+    let min_edge_bytes = min_line_bytes(weighted) / if symmetric { 2 } else { 1 };
+    let (mut el, entries) = parse_lines(rest, pool, lines, weighted, min_edge_bytes, |cur| {
+        let i: usize = cur.integer("missing row index", "a row index")?;
+        let j: usize = cur.integer("missing column index", "a column index")?;
         if i < 1 || i > rows || j < 1 || j > cols {
             return Err(format!(
                 "entry ({i}, {j}) outside the declared {rows}x{cols} matrix"
             ));
         }
+        // Without `weighted`, any value column is left unread.
         let w: Weight = if weighted {
-            let token = tokens
-                .next()
+            let token = cur
+                .token()
                 .ok_or_else(|| "missing value column".to_owned())?;
-            let v: f64 = parse_token(token, "a numeric value")?;
+            let v: f64 = std::str::from_utf8(token)
+                .ok()
+                .and_then(|s| s.parse().ok())
+                .ok_or_else(|| expected("a numeric value", token))?;
             if !v.is_finite() || v < 0.0 || v > u32::MAX as f64 {
                 return Err(format!(
                     "value `{}` is not a usable edge weight",
@@ -391,9 +483,6 @@ pub fn parse_matrix_market(text: &[u8], weighted: bool, pool: &Pool) -> Result<E
             }
             v.round() as Weight
         } else {
-            if has_values {
-                tokens.next(); // ignore the value column
-            }
             1
         };
         let (u, v) = ((i - 1) as VertexId, (j - 1) as VertexId);

@@ -5,8 +5,55 @@
 //! return `Err` quickly — if one of these OOMs or hangs, the loader
 //! boundary has regressed.
 
-use lgr_io::{lgr_from_bytes, parse_edge_list, parse_matrix_market};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::path::PathBuf;
+
+use lgr_graph::{Csr, EdgeList};
+use lgr_io::{
+    lgr_from_bytes, lgr_to_bytes, load_lgr, parse_edge_list, parse_matrix_market, IoError,
+};
 use lgr_parallel::Pool;
+
+/// The system allocator, recording the largest single request each
+/// thread makes, so a test can bound what a load allocated.
+struct Tracking;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+// SAFETY: every method forwards to `System` unchanged; the only extra
+// work is a thread-local `Cell` update, which neither allocates nor
+// re-enters the allocator.
+unsafe impl GlobalAlloc for Tracking {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = LARGEST.try_with(|m| m.set(m.get().max(layout.size())));
+        // SAFETY: the caller's contract for `alloc` is `System`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = LARGEST.try_with(|m| m.set(m.get().max(new_size)));
+        // SAFETY: the caller's contract for `realloc` is `System`'s.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Tracking = Tracking;
+
+/// `f`'s result and the largest allocation it made on this thread.
+fn largest_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|m| m.set(0));
+    let out = f();
+    (out, LARGEST.with(Cell::get))
+}
 
 fn pool() -> Pool {
     Pool::new(2)
@@ -100,9 +147,87 @@ fn lgr_header_count_bombs_are_rejected_without_allocation() {
         for flags in [0u32, 1] {
             let bytes = lgr_header(v, e, flags);
             assert!(
-                lgr_from_bytes(&bytes).is_err(),
+                lgr_from_bytes(&bytes, &pool()).is_err(),
                 "header v={v} e={e} flags={flags} must be rejected"
             );
         }
+    }
+}
+
+/// A file in the temp directory holding `bytes`, removed on drop.
+struct TempFile(PathBuf);
+
+impl TempFile {
+    fn new(tag: &str, bytes: &[u8]) -> Self {
+        let path =
+            std::env::temp_dir().join(format!("lgr-hostile-{tag}-{}.lgr", std::process::id()));
+        std::fs::write(&path, bytes).unwrap();
+        TempFile(path)
+    }
+}
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+#[test]
+fn hostile_lgr_files_are_format_errors_without_allocation() {
+    let mut el = EdgeList::new(64);
+    for i in 0..500u32 {
+        el.push_weighted(i % 64, (i * 7) % 64, i);
+    }
+    let good = lgr_to_bytes(&Csr::from_edge_list(&el));
+    let mut truncated = good.clone();
+    truncated.truncate(good.len() - 5);
+    let mut padded = good.clone();
+    padded.extend_from_slice(b"garbage");
+    let mut flipped = good.clone();
+    let mid = 40 + (good.len() - 40) / 2;
+    flipped[mid] ^= 0x10;
+    for (tag, bytes, needle) in [
+        ("truncated", truncated, "truncated or corrupt"),
+        ("padded", padded, "truncated or corrupt"),
+        ("flipped", flipped, "checksum mismatch"),
+    ] {
+        let file = TempFile::new(tag, &bytes);
+        let (result, largest) = largest_allocation(|| load_lgr(&file.0, &pool()));
+        match result {
+            Err(IoError::Format(msg)) => assert!(msg.contains(needle), "{tag}: {msg}"),
+            other => panic!("{tag}: expected a format error, got {other:?}"),
+        }
+        // Only a flipped byte passes the length check and is read (the
+        // checksum needs every byte); the others fail before the
+        // decoder allocates its buffer or any array.
+        let bound = if tag == "flipped" {
+            bytes.len() + (64 << 10)
+        } else {
+            4096
+        };
+        assert!(largest <= bound, "{tag}: allocated {largest} bytes at once");
+    }
+}
+
+/// Header counts far larger than the file: the file-length check must
+/// reject them before anything is sized by them.
+#[test]
+fn lgr_header_bombs_in_files_are_rejected_without_allocation() {
+    for (v, e) in [
+        (4_000_000_000u64, 1u64),
+        (1, 4_000_000_000),
+        (u64::MAX / 16, u64::MAX / 16),
+        (u64::MAX, u64::MAX),
+    ] {
+        let file = TempFile::new("header-bomb", &lgr_header(v, e, 1));
+        let (result, largest) = largest_allocation(|| load_lgr(&file.0, &pool()));
+        assert!(
+            matches!(result, Err(IoError::Format(_))),
+            "v={v} e={e}: {result:?}"
+        );
+        assert!(
+            largest <= 4096,
+            "v={v} e={e}: allocated {largest} bytes at once"
+        );
     }
 }
