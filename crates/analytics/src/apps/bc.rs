@@ -46,7 +46,7 @@ pub struct BcResult {
 
 /// Layout handles for the arrays BC touches.
 #[derive(Debug, Clone, Copy)]
-pub struct BcArrays {
+pub(crate) struct BcArrays {
     /// Out-edge CSR (push traversal).
     pub csr_out: CsrArrays,
     /// In-edge CSR (pull traversal).
@@ -88,7 +88,7 @@ pub fn bc<T: Tracer>(graph: &Csr, cfg: &BcConfig, tracer: &mut T) -> BcResult {
 /// # Panics
 ///
 /// Panics if the root is out of range for a non-empty graph.
-pub fn bc_with_arrays<T: Tracer>(
+pub(crate) fn bc_with_arrays<T: Tracer>(
     graph: &Csr,
     cfg: &BcConfig,
     arrays: &BcArrays,

@@ -6,10 +6,10 @@
 //! the 8-byte previous-rank entry and the 4-byte out-degree, both
 //! indexed by in-neighbor ID.
 //!
-//! One per-vertex pull body serves two entry points: the traced
-//! [`pagerank_with_arrays`] visits vertices in the simulated cores'
-//! interleaved order, and the untraced [`pagerank_pooled`] fills
-//! edge-balanced vertex ranges on a [`Pool`].
+//! One per-vertex pull body serves two entry points: the traced kernel
+//! visits vertices in the simulated cores' interleaved order, and the
+//! untraced [`pagerank_pooled`] fills edge-balanced vertex ranges on a
+//! [`Pool`].
 
 use lgr_cachesim::{AccessPattern, ArrayId, MemoryLayout, NullTracer, Tracer};
 use lgr_graph::{Csr, VertexId};
@@ -53,7 +53,7 @@ pub struct PrResult {
 
 /// Layout handles for the arrays PageRank touches.
 #[derive(Debug, Clone, Copy)]
-pub struct PrArrays {
+pub(crate) struct PrArrays {
     /// In-edge CSR (pull traversal).
     pub csr_in: CsrArrays,
     /// Previous-iteration ranks (8 B, irregular reads by neighbor ID).
@@ -76,9 +76,7 @@ impl PrArrays {
     }
 }
 
-/// Runs PageRank with a private array registration (convenience form;
-/// use [`pagerank_with_arrays`] when driving a
-/// [`lgr_cachesim::MemorySim`] whose layout must be shared).
+/// Runs PageRank with a private array registration.
 pub fn pagerank<T: Tracer>(graph: &Csr, cfg: &PrConfig, tracer: &mut T) -> PrResult {
     let mut layout = MemoryLayout::new();
     let arrays = PrArrays::register(&mut layout, graph);
@@ -89,7 +87,7 @@ pub fn pagerank<T: Tracer>(graph: &Csr, cfg: &PrConfig, tracer: &mut T) -> PrRes
 ///
 /// Vertices are visited in [`Schedule::interleaved`] order, the
 /// model of concurrent cores the simulator sees.
-pub fn pagerank_with_arrays<T: Tracer>(
+pub(crate) fn pagerank_with_arrays<T: Tracer>(
     graph: &Csr,
     cfg: &PrConfig,
     arrays: &PrArrays,
@@ -109,8 +107,8 @@ pub fn pagerank_with_arrays<T: Tracer>(
 /// ([`edge_balanced_ranges`]), one per worker, so hub-first orderings
 /// do not load one worker with every hub. The dangling sum and the
 /// convergence delta stay sequential, and every rank comes from the
-/// same per-vertex body as [`pagerank_with_arrays`], so the ranks are
-/// bitwise identical to the traced kernel's for any pool size.
+/// same per-vertex body as the traced kernel's, so the ranks are
+/// bitwise identical to [`pagerank`]'s for any pool size.
 pub fn pagerank_pooled(graph: &Csr, cfg: &PrConfig, pool: &Pool) -> PrResult {
     let arrays = PrArrays::register(&mut MemoryLayout::new(), graph);
     let ranges = edge_balanced_ranges(graph.in_offsets(), pool.threads());
@@ -289,6 +287,30 @@ mod tests {
         assert_eq!(t.writes, 8);
         assert_eq!(t.reads, 8 + 3 * 8);
         assert!(t.instructions > 0);
+    }
+
+    /// The traced run and the untraced run produce identical results
+    /// (the tracer must be purely observational).
+    #[test]
+    fn tracing_does_not_change_results() {
+        use lgr_cachesim::{MemorySim, SimConfig};
+        use lgr_graph::datasets::{build, DatasetId, DatasetScale};
+
+        let g = Csr::from_edge_list(&build(DatasetId::Pl, DatasetScale::tiny()));
+        let cfg = PrConfig {
+            max_iters: 5,
+            tolerance: 0.0,
+            ..Default::default()
+        };
+        let untraced = pagerank(&g, &cfg, &mut NullTracer);
+
+        let mut layout = MemoryLayout::new();
+        let arrays = PrArrays::register(&mut layout, &g);
+        let mut sim = MemorySim::new(SimConfig::default(), layout);
+        let traced = pagerank_with_arrays(&g, &cfg, &arrays, &mut sim);
+
+        assert_eq!(untraced.ranks, traced.ranks);
+        assert!(sim.stats().l1.accesses > 0, "tracer observed the run");
     }
 
     #[test]

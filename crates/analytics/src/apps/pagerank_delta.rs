@@ -55,7 +55,7 @@ pub struct PrdResult {
 
 /// Layout handles for the arrays PageRank-Delta touches.
 #[derive(Debug, Clone, Copy)]
-pub struct PrdArrays {
+pub(crate) struct PrdArrays {
     /// Out-edge CSR (push traversal).
     pub csr_out: CsrArrays,
     /// Accumulated rank (8 B).
@@ -87,7 +87,7 @@ pub fn pagerank_delta<T: Tracer>(graph: &Csr, cfg: &PrdConfig, tracer: &mut T) -
 }
 
 /// Runs PageRank-Delta charging accesses against pre-registered arrays.
-pub fn pagerank_delta_with_arrays<T: Tracer>(
+pub(crate) fn pagerank_delta_with_arrays<T: Tracer>(
     graph: &Csr,
     cfg: &PrdConfig,
     arrays: &PrdArrays,

@@ -1,10 +1,11 @@
 //! Radii estimation — multiple parallel BFS's with bitmask merging
 //! (Magnien et al.; paper Table VII).
 //!
-//! 64 sample vertices each seed one bit of a 64-bit visitation mask.
-//! Each round, every active vertex merges its neighbors' masks;
-//! a vertex's radius estimate is the last round its mask grew, i.e.
-//! the eccentricity bound to the farthest sample it can reach.
+//! Up to [`RADII_MASK_WIDTH`] sample sources each seed one bit of a
+//! vertex's visitation mask. Each round, every active vertex merges
+//! its neighbors' masks; a vertex's radius estimate is the last round
+//! its mask grew, i.e. the eccentricity bound to the farthest sample
+//! it can reach.
 //! Direction-optimizing like BC: sparse rounds push, dense rounds
 //! pull. Per Table VIII: 20 bytes of per-vertex state (two 8-byte
 //! masks + 4-byte radius), 8 bytes accessed irregularly.
@@ -16,44 +17,33 @@ use crate::arrays::{register_property, CsrArrays};
 use crate::frontier::Frontier;
 use crate::schedule::Schedule;
 
+/// Bits in one vertex's visitation mask: a run samples at most this
+/// many sources, one bit each.
+pub const RADII_MASK_WIDTH: usize = u64::BITS as usize;
+
 /// Radii parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RadiiConfig {
-    /// Number of sample sources (up to 64, one bit each). Ignored if
-    /// [`RadiiConfig::sources`] is set.
-    pub samples: usize,
+    /// Sample sources; only the first [`RADII_MASK_WIDTH`] are used.
+    /// To compare runs across reorderings, map them through the
+    /// permutation so every ordering samples the same logical
+    /// vertices.
+    pub sources: Vec<VertexId>,
     /// Round cap (the algorithm naturally stops at the effective
     /// diameter).
     pub max_rounds: usize,
-    /// Seed stride for the default source choice: sample `i` is vertex
-    /// `(i * stride) % V`. Ignored if [`RadiiConfig::sources`] is set.
-    pub stride: usize,
-    /// Explicit sample sources (up to 64). Set this when comparing
-    /// runs across reorderings: stride-based sources are vertex-ID
-    /// dependent and would select different logical vertices after a
-    /// relabeling.
-    pub sources: Option<Vec<VertexId>>,
     /// Simulated cores.
     pub cores: usize,
 }
 
-impl Default for RadiiConfig {
-    fn default() -> Self {
+impl RadiiConfig {
+    /// Radii from `sources` with default bounds.
+    pub fn from_sources(sources: Vec<VertexId>) -> Self {
         RadiiConfig {
-            samples: 64,
+            sources,
             max_rounds: 4096,
-            stride: 101,
-            sources: None,
             cores: 8,
         }
-    }
-}
-
-impl RadiiConfig {
-    /// Uses the given explicit sample sources (truncated to 64).
-    pub fn with_sources(mut self, sources: Vec<VertexId>) -> Self {
-        self.sources = Some(sources);
-        self
     }
 }
 
@@ -68,7 +58,7 @@ pub struct RadiiResult {
 
 /// Layout handles for the arrays Radii touches.
 #[derive(Debug, Clone, Copy)]
-pub struct RadiiArrays {
+pub(crate) struct RadiiArrays {
     /// Out-edge CSR (push rounds).
     pub csr_out: CsrArrays,
     /// In-edge CSR (pull rounds).
@@ -109,7 +99,7 @@ pub fn radii<T: Tracer>(graph: &Csr, cfg: &RadiiConfig, tracer: &mut T) -> Radii
 
 /// Runs Radii estimation charging accesses against pre-registered
 /// arrays.
-pub fn radii_with_arrays<T: Tracer>(
+pub(crate) fn radii_with_arrays<T: Tracer>(
     graph: &Csr,
     cfg: &RadiiConfig,
     arrays: &RadiiArrays,
@@ -127,18 +117,9 @@ pub fn radii_with_arrays<T: Tracer>(
     let mut next_visited = vec![0u64; n];
     let mut radii_est = vec![0u32; n];
     let mut frontier = Frontier::empty(n);
-    let sources: Vec<VertexId> = match &cfg.sources {
-        Some(s) => s.iter().copied().take(64).collect(),
-        None => {
-            let samples = cfg.samples.clamp(1, 64);
-            (0..samples)
-                .map(|i| ((i * cfg.stride) % n) as VertexId)
-                .collect()
-        }
-    };
-    for (i, &v) in sources.iter().enumerate() {
+    for (i, &v) in cfg.sources.iter().take(RADII_MASK_WIDTH).enumerate() {
         assert!((v as usize) < n, "radii source {v} out of range");
-        visited[v as usize] |= 1u64 << (i % 64);
+        visited[v as usize] |= 1u64 << i;
         frontier.add(v);
     }
 
@@ -230,15 +211,10 @@ mod tests {
 
     #[test]
     fn single_sample_radius_is_bfs_eccentricity() {
-        // Path of 8 vertices, sample only vertex 0 (stride irrelevant
-        // with 1 sample): radius[v] = distance from 0.
+        // Path of 8 vertices, sample only vertex 0: radius[v] =
+        // distance from 0.
         let g = bipath(8);
-        let cfg = RadiiConfig {
-            samples: 1,
-            stride: 1,
-            ..Default::default()
-        };
-        let r = radii(&g, &cfg, &mut NullTracer);
+        let r = radii(&g, &RadiiConfig::from_sources(vec![0]), &mut NullTracer);
         assert_eq!(r.radii, vec![0, 1, 2, 3, 4, 5, 6, 7]);
         assert_eq!(r.rounds, 8, "7 propagation rounds + 1 fixpoint check");
     }
@@ -246,11 +222,7 @@ mod tests {
     #[test]
     fn rounds_bounded_by_diameter() {
         let g = bipath(16);
-        let cfg = RadiiConfig {
-            samples: 16,
-            stride: 1,
-            ..Default::default()
-        };
+        let cfg = RadiiConfig::from_sources((0..16).collect());
         let r = radii(&g, &cfg, &mut NullTracer);
         assert!(r.rounds <= 17, "rounds {}", r.rounds);
         // With samples spread along the path, every vertex's estimate
@@ -265,12 +237,7 @@ mod tests {
         el.push(1, 0);
         // 2, 3 isolated.
         let g = Csr::from_edge_list(&el);
-        let cfg = RadiiConfig {
-            samples: 1,
-            stride: 1,
-            ..Default::default()
-        };
-        let r = radii(&g, &cfg, &mut NullTracer);
+        let r = radii(&g, &RadiiConfig::from_sources(vec![0]), &mut NullTracer);
         assert_eq!(r.radii[2], 0);
         assert_eq!(r.radii[3], 0);
     }
@@ -279,10 +246,8 @@ mod tests {
     fn max_rounds_caps_execution() {
         let g = bipath(64);
         let cfg = RadiiConfig {
-            samples: 1,
-            stride: 1,
             max_rounds: 3,
-            ..Default::default()
+            ..RadiiConfig::from_sources(vec![0])
         };
         let r = radii(&g, &cfg, &mut NullTracer);
         assert_eq!(r.rounds, 3);
@@ -291,7 +256,7 @@ mod tests {
     #[test]
     fn empty_graph() {
         let g = Csr::from_edge_list(&EdgeList::new(0));
-        let r = radii(&g, &RadiiConfig::default(), &mut NullTracer);
+        let r = radii(&g, &RadiiConfig::from_sources(Vec::new()), &mut NullTracer);
         assert!(r.radii.is_empty());
     }
 }

@@ -49,7 +49,7 @@ pub struct SsspResult {
 
 /// Layout handles for the arrays SSSP touches.
 #[derive(Debug, Clone, Copy)]
-pub struct SsspArrays {
+pub(crate) struct SsspArrays {
     /// Out-edge CSR with 8-byte weighted edge entries.
     pub csr_out: CsrArrays,
     /// Tentative distances (8 B, irregular read-modify-write).
@@ -84,7 +84,7 @@ pub fn sssp<T: Tracer>(graph: &Csr, cfg: &SsspConfig, tracer: &mut T) -> SsspRes
 /// # Panics
 ///
 /// Panics if the root is out of range for a non-empty graph.
-pub fn sssp_with_arrays<T: Tracer>(
+pub(crate) fn sssp_with_arrays<T: Tracer>(
     graph: &Csr,
     cfg: &SsspConfig,
     arrays: &SsspArrays,

@@ -12,14 +12,18 @@
 //! * [`apps::radii()`] — Radii estimation via 64 parallel BFS's
 //!   (pull-push).
 //!
-//! Every application is generic over a [`lgr_cachesim::Tracer`]: pass
-//! [`lgr_cachesim::NullTracer`] for a full-speed run, or a
-//! [`lgr_cachesim::MemorySim`] to drive the cache-hierarchy simulator
-//! with the exact access stream the algorithm generates (vertex/edge
-//! array streaming plus the irregular property accesses whose locality
-//! graph reordering manipulates). [`apps::pagerank_pooled`] is the
-//! untraced PageRank on a [`lgr_parallel::Pool`]: the same per-vertex
-//! body, with ranks bitwise equal to the traced kernel's.
+//! Every application is generic over a [`lgr_cachesim::Tracer`] and
+//! charges it the exact access stream the algorithm generates
+//! (vertex/edge array streaming plus the irregular property accesses
+//! whose locality graph reordering manipulates). The functions above
+//! register their arrays in a layout of their own, so pass them
+//! [`lgr_cachesim::NullTracer`] for a full-speed run. To drive the
+//! cache-hierarchy simulator, call [`AppId::trace`]: it registers the
+//! app's arrays, builds the [`lgr_cachesim::MemorySim`] on that layout
+//! and runs the kernel into it. [`AppId::run_pooled`] runs the same
+//! work untraced on a [`lgr_parallel::Pool`]; its PageRank,
+//! [`apps::pagerank_pooled`], gives ranks bitwise equal to the traced
+//! kernel's.
 //!
 //! # Example
 //!
@@ -39,7 +43,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod apps;
-pub mod arrays;
+mod arrays;
 pub mod frontier;
 pub mod schedule;
 pub mod verify;

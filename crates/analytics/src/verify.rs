@@ -14,6 +14,8 @@ use std::collections::VecDeque;
 
 use lgr_graph::{Csr, Permutation, VertexId};
 
+use crate::apps::RADII_MASK_WIDTH;
+
 /// Maps a per-vertex result vector computed on a reordered graph back
 /// to original vertex IDs: `out[orig] = values[perm.new_id(orig)]`.
 ///
@@ -111,16 +113,13 @@ pub fn bc_reference(graph: &Csr, root: VertexId) -> Vec<f64> {
     delta
 }
 
-/// Reference radii estimate: one BFS per sample source; each vertex's
-/// radius is its maximum distance to any sample that reaches it.
-pub fn radii_reference(graph: &Csr, samples: usize, stride: usize) -> Vec<u32> {
-    let n = graph.num_vertices();
-    let mut radii = vec![0u32; n];
-    if n == 0 {
-        return radii;
-    }
-    for i in 0..samples.clamp(1, 64) {
-        let src = ((i * stride) % n) as VertexId;
+/// Reference radii estimate: one BFS per source, the first
+/// [`RADII_MASK_WIDTH`] of `sources` as in the engine's masks; each
+/// vertex's radius is its maximum distance to any source that reaches
+/// it.
+pub fn radii_reference(graph: &Csr, sources: &[VertexId]) -> Vec<u32> {
+    let mut radii = vec![0u32; graph.num_vertices()];
+    for &src in sources.iter().take(RADII_MASK_WIDTH) {
         let depth = bfs_reference(graph, src);
         for (v, &d) in depth.iter().enumerate() {
             if d > 0 {
@@ -205,13 +204,10 @@ mod tests {
     #[test]
     fn engine_radii_matches_reference() {
         let g = test_graph();
-        let cfg = RadiiConfig {
-            samples: 8,
-            stride: 13,
-            ..Default::default()
-        };
+        let sources: Vec<VertexId> = (0..8).map(|i| i * 13).collect();
+        let cfg = RadiiConfig::from_sources(sources.clone());
         let engine = radii(&g, &cfg, &mut NullTracer);
-        let expect = radii_reference(&g, 8, 13);
+        let expect = radii_reference(&g, &sources);
         assert_eq!(engine.radii, expect);
     }
 

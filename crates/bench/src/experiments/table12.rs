@@ -28,8 +28,8 @@ pub fn run(h: &Session) -> String {
         if let Some(spec) = tech {
             job = job.with_technique(spec.clone());
         }
-        let iters = pr.iters().unwrap_or(h.config().pr_iters);
-        h.run(&job).cycles() as f64 / iters.max(1) as f64
+        let (work, _) = h.config().work(&pr);
+        h.run(&job).cycles() as f64 / work.iters.max(1) as f64
     };
     for ds in &datasets {
         let base = per_iter(ds, None);

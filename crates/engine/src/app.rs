@@ -102,34 +102,6 @@ impl AppSpec {
     pub fn sources(&self) -> Option<usize> {
         self.sources
     }
-
-    /// Sets the iteration cap (PR / PRD).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the app is not PR or PRD.
-    pub fn with_iters(mut self, iters: usize) -> Self {
-        assert!(
-            matches!(self.id, AppId::Pr | AppId::Prd),
-            "iters only applies to pr/prd"
-        );
-        self.iters = Some(iters);
-        self
-    }
-
-    /// Sets the root count (SSSP / BC).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the app is not SSSP or BC.
-    pub fn with_roots(mut self, roots: usize) -> Self {
-        assert!(
-            matches!(self.id, AppId::Sssp | AppId::Bc),
-            "roots only applies to sssp/bc"
-        );
-        self.roots = Some(roots);
-        self
-    }
 }
 
 impl From<AppId> for AppSpec {

@@ -42,13 +42,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lgr_analytics::apps::bc::{bc_with_arrays, BcArrays};
-use lgr_analytics::apps::pagerank::{pagerank_pooled, pagerank_with_arrays, PrArrays};
-use lgr_analytics::apps::pagerank_delta::{pagerank_delta_with_arrays, PrdArrays};
-use lgr_analytics::apps::radii::{radii_with_arrays, RadiiArrays};
-use lgr_analytics::apps::sssp::{sssp_with_arrays, SsspArrays};
-use lgr_analytics::apps::{AppId, BcConfig, PrConfig, PrdConfig, RadiiConfig, SsspConfig};
-use lgr_cachesim::{MemoryLayout, MemorySim, NullTracer, SimConfig, SimStats, Tracer};
+use lgr_analytics::apps::{AppId, Work, RADII_MASK_WIDTH};
+use lgr_cachesim::{MemorySim, SimConfig, SimStats};
 use lgr_core::TimedReorder;
 use lgr_graph::datasets::DatasetScale;
 use lgr_graph::{Csr, DegreeKind, VertexId};
@@ -153,6 +148,27 @@ impl SessionConfig {
     pub fn with_scale_exp(mut self, exp: u32) -> Self {
         self.scale = DatasetScale::with_sd_vertices(1usize << exp);
         self
+    }
+
+    /// The [`Work`] one run of `app` does on this config's machine,
+    /// and how many roots the session picks for it: each knob `app`
+    /// sets, else this config's default. Radii's roots are its
+    /// sources, [`RADII_MASK_WIDTH`] by default; like every app's
+    /// roots they are picked on the original graph, so each ordering
+    /// computes the same problem. PR and PRD ignore theirs.
+    pub fn work(&self, app: &AppSpec) -> (Work, usize) {
+        let iters = match app.id() {
+            AppId::Pr => app.iters().unwrap_or(self.pr_iters),
+            AppId::Prd => app.iters().unwrap_or(self.prd_iters),
+            AppId::Radii => app.rounds().unwrap_or(self.radii_rounds),
+            AppId::Sssp | AppId::Bc => usize::MAX,
+        };
+        let roots = match app.id() {
+            AppId::Radii => app.sources().unwrap_or(RADII_MASK_WIDTH),
+            _ => app.roots().unwrap_or(self.roots),
+        };
+        let cores = self.sim.cores;
+        (Work { iters, cores }, roots)
     }
 }
 
@@ -724,23 +740,9 @@ impl Session {
     }
 
     /// Untraced wall-clock run (same work as [`Session::run`]), cached.
-    ///
     /// The kernel runs on the session pool, the pool the reorderings
-    /// and permutation applies it is weighed against run on:
-    ///
-    /// * PageRank splits each iteration's pull by in-edge mass
-    ///   ([`pagerank_pooled`]); its ranks are bitwise those of the
-    ///   traced kernel.
-    /// * SSSP and BC run their roots in parallel, worker `w` of `t`
-    ///   taking roots `w, w + t, …`, each traversal with its own
-    ///   state.
-    /// * PageRank-Delta stays sequential: it pushes float deltas into
-    ///   shared sums, so parallel pushes would make its ranks depend
-    ///   on thread timing. So does Radii, which is one multi-source
-    ///   traversal rather than independent ones.
-    ///
-    /// With one pool thread (`LGR_THREADS=1`) every app runs the
-    /// sequential kernel [`Session::run`] traces.
+    /// and permutation applies it is weighed against run on; see
+    /// [`AppId::run_pooled`] for which apps split their work.
     pub fn wall(&self, job: &Job) -> Duration {
         self.stage(&job.dataset, |cx| JobCx::wall(cx, job))
     }
@@ -782,32 +784,6 @@ impl Session {
         stage(&JobCx::new(self, ds)).unwrap_or_else(|e| panic!("dataset `{ds}`: {e}"))
     }
 
-    fn pr_config(&self, app: &AppSpec) -> PrConfig {
-        PrConfig {
-            max_iters: app.iters().unwrap_or(self.cfg.pr_iters),
-            tolerance: 0.0,
-            cores: self.cfg.sim.cores,
-            ..Default::default()
-        }
-    }
-
-    fn prd_config(&self, app: &AppSpec) -> PrdConfig {
-        PrdConfig {
-            max_iters: app.iters().unwrap_or(self.cfg.prd_iters),
-            cores: self.cfg.sim.cores,
-            ..Default::default()
-        }
-    }
-
-    fn radii_config(&self, app: &AppSpec, sources: &[VertexId]) -> RadiiConfig {
-        RadiiConfig {
-            max_rounds: app.rounds().unwrap_or(self.cfg.radii_rounds),
-            cores: self.cfg.sim.cores,
-            ..Default::default()
-        }
-        .with_sources(sources.to_vec())
-    }
-
     /// Runs an app on the simulator. The traced kernel runs once per
     /// pool worker, each feeding a [`MemorySim::partial`] that owns its
     /// share of the set partitions; the partial statistics sum to
@@ -815,9 +791,10 @@ impl Session {
     /// count.
     fn run_traced(&self, app: &AppSpec, graph: &Csr, roots: &[VertexId]) -> SimStats {
         let machine = self.cfg.sim;
+        let (work, _) = self.cfg.work(app);
         let shares = self.pool.threads().min(machine.partitions());
         let partial = |share| {
-            let sim = self.execute(app, graph, roots, |layout| {
+            let sim = app.id().trace(graph, work, roots, |layout| {
                 MemorySim::partial(machine, layout, share, shares)
             });
             *sim.stats()
@@ -835,92 +812,6 @@ impl Session {
             }
         });
         total.into_inner()
-    }
-
-    /// The untraced kernel behind [`Session::wall`], on the pool.
-    /// `run_traced` calls [`Session::execute`] inside a broadcast, so
-    /// `execute` must never reach this function: the pool gate is not
-    /// reentrant.
-    fn execute_pooled(&self, app: &AppSpec, graph: &Csr, roots: &[VertexId]) {
-        let threads = self.pool.threads();
-        match app.id() {
-            AppId::Pr if threads > 1 => {
-                pagerank_pooled(graph, &self.pr_config(app), &self.pool);
-            }
-            AppId::Sssp | AppId::Bc if threads > 1 => self.for_each_root(roots, |root| {
-                self.execute(app, graph, &[root], |_| NullTracer);
-            }),
-            _ => {
-                self.execute(app, graph, roots, |_| NullTracer);
-            }
-        }
-    }
-
-    /// Runs `traverse(root)` for every root on the pool, worker `w` of
-    /// `t` taking roots `w, w + t, …`.
-    fn for_each_root(&self, roots: &[VertexId], traverse: impl Fn(VertexId) + Sync) {
-        let threads = self.pool.threads();
-        self.pool.broadcast(|worker| {
-            for &root in roots.iter().skip(worker).step_by(threads) {
-                traverse(root);
-            }
-        });
-    }
-
-    /// Registers the app's arrays, runs its kernel once against the
-    /// tracer `tracer` builds from that layout, and returns the tracer.
-    /// Root-dependent apps trace every root into the one tracer. Never
-    /// touches the pool.
-    fn execute<T: Tracer>(
-        &self,
-        app: &AppSpec,
-        graph: &Csr,
-        roots: &[VertexId],
-        tracer: impl FnOnce(MemoryLayout) -> T,
-    ) -> T {
-        let cores = self.cfg.sim.cores;
-        let mut layout = MemoryLayout::new();
-        match app.id() {
-            AppId::Pr => {
-                let arrays = PrArrays::register(&mut layout, graph);
-                let mut t = tracer(layout);
-                pagerank_with_arrays(graph, &self.pr_config(app), &arrays, &mut t);
-                t
-            }
-            AppId::Prd => {
-                let arrays = PrdArrays::register(&mut layout, graph);
-                let mut t = tracer(layout);
-                pagerank_delta_with_arrays(graph, &self.prd_config(app), &arrays, &mut t);
-                t
-            }
-            AppId::Sssp => {
-                let arrays = SsspArrays::register(&mut layout, graph);
-                let mut t = tracer(layout);
-                for &r in roots {
-                    let cfg = SsspConfig {
-                        cores,
-                        ..SsspConfig::from_root(r)
-                    };
-                    sssp_with_arrays(graph, &cfg, &arrays, &mut t);
-                }
-                t
-            }
-            AppId::Bc => {
-                let arrays = BcArrays::register(&mut layout, graph);
-                let mut t = tracer(layout);
-                for &r in roots {
-                    let cfg = BcConfig { root: r, cores };
-                    bc_with_arrays(graph, &cfg, &arrays, &mut t);
-                }
-                t
-            }
-            AppId::Radii => {
-                let arrays = RadiiArrays::register(&mut layout, graph);
-                let mut t = tracer(layout);
-                radii_with_arrays(graph, &self.radii_config(app, roots), &arrays, &mut t);
-                t
-            }
-        }
     }
 
     /// Traced PageRank cycles on an arbitrary (already reordered)
@@ -1160,13 +1051,7 @@ impl<'s> JobCx<'s> {
     /// roots, the permutation and the relabelled graph.
     fn prepared(&self, job: &Job) -> Result<(Arc<Csr>, Vec<VertexId>), DatasetError> {
         let graph = self.graph()?;
-        // Radii needs its 64 BFS sources fixed in *logical* vertex
-        // terms so every ordering computes the same problem.
-        let count = if job.app.id() == AppId::Radii {
-            job.app.sources().unwrap_or(64)
-        } else {
-            job.app.roots().unwrap_or(self.session.cfg.roots)
-        };
+        let (_, count) = self.session.cfg.work(&job.app);
         let roots = self.roots(count)?;
         let Some(spec) = &job.technique else {
             return Ok((graph, roots));
@@ -1200,8 +1085,9 @@ impl<'s> JobCx<'s> {
         let s = self.session;
         let wall = s.walls.get_or_try_build(job, || {
             let (graph, roots) = self.prepared(job)?;
+            let (work, _) = s.cfg.work(&job.app);
             let start = Instant::now();
-            s.execute_pooled(&job.app, &graph, &roots);
+            job.app.id().run_pooled(&graph, work, &roots, &s.pool);
             Ok(start.elapsed())
         });
         wall.map(|w| *w)
@@ -1290,32 +1176,6 @@ mod tests {
                 }
             }
             assert_eq!(s.cache_stats().walls.misses, 10, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn pooled_roots_match_the_sequential_root_loop() {
-        use lgr_analytics::apps::{bc, sssp};
-
-        let sd = DatasetSpec::builtin(DatasetId::Sd);
-        let traverse = |g: &Csr, root| {
-            let dist = sssp(g, &SsspConfig::from_root(root), &mut NullTracer).distances;
-            let scores = bc(g, &BcConfig::from_root(root), &mut NullTracer).scores;
-            (root, dist, scores)
-        };
-        for threads in [1, 2, 3] {
-            let cfg = SessionConfig::quick();
-            let s = Session::with_pool(cfg, TechniqueRegistry::new(), Pool::new(threads));
-            let g = s.graph(&sd);
-            // Five roots: neither two nor three workers divide them.
-            let roots = s.roots(&sd, 5);
-            assert_eq!(roots.len(), 5);
-            let results = Mutex::new(Vec::new());
-            s.for_each_root(&roots, |root| results.lock().push(traverse(&g, root)));
-            let mut pooled = results.into_inner();
-            pooled.sort_by_key(|(root, ..)| roots.iter().position(|r| r == root));
-            let sequential: Vec<_> = roots.iter().map(|&r| traverse(&g, r)).collect();
-            assert_eq!(pooled, sequential, "{threads} threads");
         }
     }
 

@@ -86,24 +86,34 @@ proptest! {
         }
     }
 
-    /// The app-spec contract mirrors the technique one.
+    /// The app-spec contract mirrors the technique one, for every
+    /// app bare and with each of its knobs.
     #[test]
-    fn app_specs_round_trip(app_sel in 0usize..5, knob in 1usize..1000, with_knob in 0u32..2) {
-        let base = AppSpec::all();
-        let mut app = base[app_sel].clone();
-        if with_knob == 1 {
-            app = match app.token() {
-                "pr" | "prd" => app.with_iters(knob),
-                "sssp" | "bc" => app.with_roots(knob),
-                _ => app, // radii knobs covered by unit tests
-            };
-        }
+    fn app_specs_round_trip(
+        app_sel in 0usize..5,
+        knob in 1usize..1000,
+        sources in 1usize..1000,
+        with_knob in 0u32..4,
+    ) {
+        let token = AppSpec::all()[app_sel].token();
+        let written = match (token, with_knob) {
+            (_, 0) => token.to_owned(),
+            ("pr" | "prd", _) => format!("{token}:iters={knob}"),
+            ("sssp" | "bc", _) => format!("{token}:roots={knob}"),
+            (_, 1) => format!("{token}:rounds={knob}"),
+            (_, 2) => format!("{token}:sources={sources}"),
+            _ => format!("{token}:rounds={knob}:sources={sources}"),
+        };
+        let app: AppSpec = written
+            .parse()
+            .unwrap_or_else(|e| panic!("`{written}` failed to parse: {e}"));
+        // `written` is canonical, so printing the parse gives it back.
         let printed = app.to_string();
+        prop_assert_eq!(&printed, &written);
         let reparsed: AppSpec = printed
             .parse()
             .unwrap_or_else(|e| panic!("`{printed}` failed to reparse: {e}"));
         prop_assert_eq!(&reparsed, &app);
-        prop_assert_eq!(reparsed.to_string(), printed);
     }
 
     /// The dataset-spec contract mirrors the technique one: every

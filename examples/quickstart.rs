@@ -11,19 +11,15 @@ use std::io::{self, Write};
 use std::process::ExitCode;
 
 use graph_reorder::prelude::*;
-use lgr_analytics::apps::pagerank::{pagerank_with_arrays, PrArrays};
-use lgr_cachesim::layout::MemoryLayout;
+use lgr_analytics::apps::Work;
 
 fn simulate_pagerank(graph: &Csr, label: &str, out: &mut impl Write) -> io::Result<u64> {
-    let mut layout = MemoryLayout::new();
-    let arrays = PrArrays::register(&mut layout, graph);
-    let mut sim = MemorySim::new(SimConfig::default(), layout);
-    let cfg = PrConfig {
-        max_iters: 3,
-        tolerance: 0.0,
-        ..Default::default()
+    let machine = SimConfig::default();
+    let work = Work {
+        iters: 3,
+        cores: machine.cores,
     };
-    pagerank_with_arrays(graph, &cfg, &arrays, &mut sim);
+    let sim = AppId::Pr.trace(graph, work, &[], |layout| MemorySim::new(machine, layout));
     let stats = sim.stats();
     let [l1, l2, l3] = stats.mpki();
     writeln!(

@@ -15,19 +15,15 @@ use std::time::Instant;
 use graph_reorder::graph::datasets::{build, DatasetId, DatasetScale};
 use graph_reorder::prelude::*;
 use graph_reorder::reorder::{HubClusterOriginal, HubSortOriginal, RandomVertex};
-use lgr_analytics::apps::pagerank::{pagerank_with_arrays, PrArrays};
-use lgr_cachesim::layout::MemoryLayout;
+use lgr_analytics::apps::Work;
 
 fn simulated_pr_cycles(graph: &Csr) -> u64 {
-    let mut layout = MemoryLayout::new();
-    let arrays = PrArrays::register(&mut layout, graph);
-    let mut sim = MemorySim::new(SimConfig::default(), layout);
-    let cfg = PrConfig {
-        max_iters: 3,
-        tolerance: 0.0,
-        ..Default::default()
+    let machine = SimConfig::default();
+    let work = Work {
+        iters: 3,
+        cores: machine.cores,
     };
-    pagerank_with_arrays(graph, &cfg, &arrays, &mut sim);
+    let sim = AppId::Pr.trace(graph, work, &[], |layout| MemorySim::new(machine, layout));
     sim.stats().cycles
 }
 

@@ -1,11 +1,8 @@
 //! Cross-crate behavioral tests of the simulator: the qualitative
 //! claims of the paper must hold on the simulated hierarchy.
 
-use graph_reorder::cachesim::layout::MemoryLayout;
 use graph_reorder::prelude::*;
-use lgr_analytics::apps::pagerank::{pagerank_with_arrays, PrArrays};
-use lgr_analytics::apps::pagerank_delta::{pagerank_delta_with_arrays, PrdArrays};
-use lgr_analytics::apps::sssp::{sssp_with_arrays, SsspArrays};
+use lgr_analytics::apps::Work;
 use lgr_cachesim::SimStats;
 use lgr_graph::datasets::{build, DatasetId, DatasetScale};
 
@@ -13,17 +10,20 @@ fn scale() -> DatasetScale {
     DatasetScale::with_sd_vertices(1 << 14)
 }
 
-fn pr_stats(graph: &Csr) -> SimStats {
-    let mut layout = MemoryLayout::new();
-    let arrays = PrArrays::register(&mut layout, graph);
-    let mut sim = MemorySim::new(SimConfig::default(), layout);
-    let cfg = PrConfig {
-        max_iters: 2,
-        tolerance: 0.0,
-        ..Default::default()
+/// `app`'s statistics on the default machine after `iters`
+/// iterations (rounds), traversing from `roots`.
+fn stats(app: AppId, graph: &Csr, iters: usize, roots: &[u32]) -> SimStats {
+    let machine = SimConfig::default();
+    let work = Work {
+        iters,
+        cores: machine.cores,
     };
-    pagerank_with_arrays(graph, &cfg, &arrays, &mut sim);
+    let sim = app.trace(graph, work, roots, |layout| MemorySim::new(machine, layout));
     *sim.stats()
+}
+
+fn pr_stats(graph: &Csr) -> SimStats {
+    stats(AppId::Pr, graph, 2, &[])
 }
 
 /// Miss counts are monotone down the hierarchy: everything that missed
@@ -102,24 +102,8 @@ fn prd_snoops_more_than_sssp() {
     el.randomize_weights(32, 9);
     let g = Csr::from_edge_list(&el);
 
-    let prd_stats = {
-        let mut layout = MemoryLayout::new();
-        let arrays = PrdArrays::register(&mut layout, &g);
-        let mut sim = MemorySim::new(SimConfig::default(), layout);
-        let cfg = PrdConfig {
-            max_iters: 3,
-            ..Default::default()
-        };
-        pagerank_delta_with_arrays(&g, &cfg, &arrays, &mut sim);
-        *sim.stats()
-    };
-    let sssp_stats = {
-        let mut layout = MemoryLayout::new();
-        let arrays = SsspArrays::register(&mut layout, &g);
-        let mut sim = MemorySim::new(SimConfig::default(), layout);
-        sssp_with_arrays(&g, &SsspConfig::from_root(1), &arrays, &mut sim);
-        *sim.stats()
-    };
+    let prd_stats = stats(AppId::Prd, &g, 3, &[]);
+    let sssp_stats = stats(AppId::Sssp, &g, usize::MAX, &[1]);
     let snoop_frac = |s: &SimStats| {
         let f = s.l2_breakdown.fractions();
         f[1] + f[2]
