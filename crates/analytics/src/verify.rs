@@ -248,7 +248,7 @@ mod tests {
             let cfg = SsspConfig::from_root(perm.new_id(5));
             let res = sssp(&rg, &cfg, &mut NullTracer);
             let mapped = remap(&res.distances, &perm);
-            assert_eq!(mapped, base.distances, "{} changed results", tech.name());
+            assert_eq!(mapped, base.distances, "{tech:?} changed results");
         }
     }
 

@@ -55,15 +55,6 @@ pub fn pct(x: f64) -> String {
     format!("{:.1}", x * 100.0)
 }
 
-/// Formats a speedup-over-baseline as signed percent, e.g. `+16.8%`.
-pub fn speedup_pct(baseline: f64, value: f64) -> String {
-    if value <= 0.0 || baseline <= 0.0 {
-        return "n/a".to_owned();
-    }
-    let s = (baseline / value - 1.0) * 100.0;
-    format!("{s:+.1}")
-}
-
 /// Geometric mean of speedup factors (`baseline / value` ratios).
 pub fn geomean(ratios: &[f64]) -> f64 {
     if ratios.is_empty() {
@@ -125,13 +116,6 @@ mod tests {
     fn rejects_ragged_rows() {
         let mut t = TextTable::new("T", vec!["a"]);
         t.row(vec!["1".into(), "2".into()]);
-    }
-
-    #[test]
-    fn speedup_formatting() {
-        assert_eq!(speedup_pct(120.0, 100.0), "+20.0");
-        assert_eq!(speedup_pct(100.0, 125.0), "-20.0");
-        assert_eq!(speedup_pct(1.0, 0.0), "n/a");
     }
 
     #[test]

@@ -6,8 +6,6 @@
 //! vertices into a contiguous region — a prerequisite for the
 //! domain-specialized hardware cache scheme the authors cite.
 
-use std::fmt;
-
 use lgr_graph::{Csr, DegreeKind, Permutation};
 use lgr_parallel::Pool;
 
@@ -20,6 +18,7 @@ use crate::technique::ReorderingTechnique;
 /// Stage `i+1` sees the graph as reordered by stages `0..=i`, and the
 /// returned permutation is the composition of every stage's
 /// relabeling.
+#[derive(Debug)]
 pub struct Pipeline {
     stages: Vec<Box<dyn ReorderingTechnique>>,
 }
@@ -47,19 +46,7 @@ impl Pipeline {
     }
 }
 
-impl fmt::Debug for Pipeline {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list()
-            .entries(self.stages.iter().map(|s| s.name()))
-            .finish()
-    }
-}
-
 impl ReorderingTechnique for Pipeline {
-    fn name(&self) -> &'static str {
-        "Pipeline"
-    }
-
     fn reorder_with(&self, graph: &Csr, kind: DegreeKind, pool: &Pool) -> Permutation {
         let mut perm = self.stages[0].reorder_with(graph, kind, pool);
         for stage in &self.stages[1..] {

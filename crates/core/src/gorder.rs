@@ -126,10 +126,6 @@ impl Default for Gorder {
 }
 
 impl ReorderingTechnique for Gorder {
-    fn name(&self) -> &'static str {
-        "Gorder"
-    }
-
     fn reorder_with(&self, graph: &Csr, _kind: DegreeKind, _pool: &Pool) -> Permutation {
         let n = graph.num_vertices();
         if n == 0 {

@@ -57,10 +57,6 @@ impl Sort {
 }
 
 impl ReorderingTechnique for Sort {
-    fn name(&self) -> &'static str {
-        "Sort"
-    }
-
     fn reorder_with(&self, graph: &Csr, kind: DegreeKind, pool: &Pool) -> Permutation {
         bin_by_degree(graph, kind, pool, |d| GroupingSpec::sort(max_degree(d)))
     }
@@ -84,10 +80,6 @@ impl HubSort {
 }
 
 impl ReorderingTechnique for HubSort {
-    fn name(&self) -> &'static str {
-        "HubSort"
-    }
-
     fn reorder_with(&self, graph: &Csr, kind: DegreeKind, pool: &Pool) -> Permutation {
         bin_by_degree(graph, kind, pool, |d| {
             GroupingSpec::hub_sorting(avg_degree(d), max_degree(d))
@@ -109,10 +101,6 @@ impl HubCluster {
 }
 
 impl ReorderingTechnique for HubCluster {
-    fn name(&self) -> &'static str {
-        "HubCluster"
-    }
-
     fn reorder_with(&self, graph: &Csr, kind: DegreeKind, pool: &Pool) -> Permutation {
         bin_by_degree(graph, kind, pool, |d| {
             GroupingSpec::hub_clustering(avg_degree(d))
@@ -183,10 +171,6 @@ impl Default for Dbg {
 }
 
 impl ReorderingTechnique for Dbg {
-    fn name(&self) -> &'static str {
-        "DBG"
-    }
-
     fn reorder_with(&self, graph: &Csr, kind: DegreeKind, pool: &Pool) -> Permutation {
         bin_by_degree(graph, kind, pool, |d| self.spec_for(avg_degree(d)))
     }
@@ -215,10 +199,6 @@ impl HubSortOriginal {
 }
 
 impl ReorderingTechnique for HubSortOriginal {
-    fn name(&self) -> &'static str {
-        "HubSort-O"
-    }
-
     fn reorder_with(&self, graph: &Csr, _kind: DegreeKind, _pool: &Pool) -> Permutation {
         let degrees = DegreeKind::Out.degrees(graph);
         let avg = avg_degree(&degrees);
@@ -269,10 +249,6 @@ impl Default for HubClusterOriginal {
 }
 
 impl ReorderingTechnique for HubClusterOriginal {
-    fn name(&self) -> &'static str {
-        "HubCluster-O"
-    }
-
     fn reorder_with(&self, graph: &Csr, _kind: DegreeKind, _pool: &Pool) -> Permutation {
         let degrees = DegreeKind::Out.degrees(graph);
         let avg = avg_degree(&degrees);
@@ -436,10 +412,10 @@ mod tests {
         ];
         for t in &techniques {
             let p = t.reorder(&g, DegreeKind::Out);
-            assert_eq!(p.len(), g.num_vertices(), "{}", t.name());
+            assert_eq!(p.len(), g.num_vertices(), "{t:?}");
             // Applying it preserves edge count and degree multiset.
             let h = g.apply_permutation(&p);
-            assert_eq!(h.num_edges(), g.num_edges(), "{}", t.name());
+            assert_eq!(h.num_edges(), g.num_edges(), "{t:?}");
         }
     }
 
@@ -455,7 +431,7 @@ mod tests {
                 &Dbg::with_hot_groups(u32::MAX),
             ] {
                 let p = t.reorder(&g, DegreeKind::Out);
-                assert_eq!(p.len(), n, "{} on n={n}", t.name());
+                assert_eq!(p.len(), n, "{t:?} on n={n}");
             }
         }
     }

@@ -30,6 +30,11 @@
 //! binning algorithm ([`framework::GroupingSpec`]) exactly as the
 //! paper's Table V observes.
 //!
+//! The technique types carry no display names. The labels reports
+//! print (`DBG(4)`, `RCB-3`, `Gorder+DBG`) come from the spec that
+//! names a technique, `lgr_engine::TechniqueSpec::label`, and a
+//! technique's `Debug` form identifies it in test messages.
+//!
 //! # Example
 //!
 //! ```

@@ -14,10 +14,10 @@ use lgr_parallel::Pool;
 /// Implementations write one body,
 /// [`reorder_with`](ReorderingTechnique::reorder_with);
 /// [`reorder`](ReorderingTechnique::reorder) runs it on a pool of one.
-pub trait ReorderingTechnique {
-    /// Short display name ("DBG", "Sort", ...), used in reports.
-    fn name(&self) -> &'static str;
-
+/// A technique carries no display name: its `Debug` form identifies it
+/// in test messages, and reports take their labels from the spec that
+/// built it (`lgr_engine::TechniqueSpec::label`).
+pub trait ReorderingTechnique: std::fmt::Debug {
     /// Computes the relabeling for `graph` on `pool`.
     ///
     /// `kind` selects which degree drives hot/cold decisions; the
@@ -45,10 +45,6 @@ pub trait ReorderingTechnique {
 pub struct Identity;
 
 impl ReorderingTechnique for Identity {
-    fn name(&self) -> &'static str {
-        "Original"
-    }
-
     fn reorder_with(&self, graph: &Csr, _kind: DegreeKind, _pool: &Pool) -> Permutation {
         Permutation::identity(graph.num_vertices())
     }
@@ -97,7 +93,6 @@ mod tests {
         let g = Csr::from_edge_list(&el);
         let p = Identity.reorder(&g, DegreeKind::Out);
         assert!(p.is_identity());
-        assert_eq!(Identity.name(), "Original");
     }
 
     #[test]
@@ -109,12 +104,5 @@ mod tests {
         let g = Csr::from_edge_list(&el);
         let t = TimedReorder::run_with(&Identity, &g, DegreeKind::Out, &Pool::new(1));
         assert!(t.permutation.is_identity());
-    }
-
-    #[test]
-    fn technique_names_match_paper() {
-        assert_eq!(crate::Dbg::default().name(), "DBG");
-        assert_eq!(crate::RandomCacheBlock::new(4, 0).name(), "RCB-4");
-        assert_eq!(crate::HubSortOriginal::new().name(), "HubSort-O");
     }
 }

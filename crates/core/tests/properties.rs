@@ -68,8 +68,7 @@ proptest! {
             let first_cold = flags.iter().position(|&h| !h).unwrap_or(flags.len());
             prop_assert!(
                 flags[first_cold..].iter().all(|&h| !h),
-                "{}: hot vertex after cold region: {flags:?}",
-                t.name()
+                "{t:?}: hot vertex after cold region: {flags:?}"
             );
         }
     }
@@ -191,7 +190,7 @@ proptest! {
                 let seq = t.reorder(&g, kind);
                 for pool in &pools {
                     let par = t.reorder_with(&g, kind, pool);
-                    prop_assert_eq!(&par, &seq, "{} mismatch, threads = {}", t.name(), pool.threads());
+                    prop_assert_eq!(&par, &seq, "{:?} mismatch, threads = {}", t, pool.threads());
                 }
             }
         }

@@ -13,7 +13,7 @@ use std::str::FromStr;
 
 use lgr_analytics::apps::AppId;
 
-use crate::spec::SpecError;
+use crate::spec::{Param, SpecError};
 
 /// One of the five applications plus optional per-app configuration.
 ///
@@ -34,14 +34,10 @@ use crate::spec::SpecError;
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AppSpec {
     id: AppId,
-    /// Iteration cap override (PR / PRD).
+    /// Iteration-cap override: PR / PRD iterations, Radii rounds.
     iters: Option<usize>,
-    /// Root-count override (SSSP / BC).
+    /// Root-count override: SSSP / BC roots, Radii BFS sources.
     roots: Option<usize>,
-    /// Round-cap override (Radii).
-    rounds: Option<usize>,
-    /// BFS source-count override (Radii).
-    sources: Option<usize>,
 }
 
 impl AppSpec {
@@ -51,8 +47,6 @@ impl AppSpec {
             id,
             iters: None,
             roots: None,
-            rounds: None,
-            sources: None,
         }
     }
 
@@ -83,24 +77,27 @@ impl AppSpec {
         }
     }
 
-    /// Iteration-cap override (PR / PRD only).
+    /// Iteration-cap override: PR / PRD iterations (`iters=`), Radii
+    /// rounds (`rounds=`).
     pub fn iters(&self) -> Option<usize> {
         self.iters
     }
 
-    /// Root-count override (SSSP / BC only).
+    /// Root-count override: SSSP / BC roots (`roots=`), Radii BFS
+    /// sources (`sources=`).
     pub fn roots(&self) -> Option<usize> {
         self.roots
     }
 
-    /// Round-cap override (Radii only).
-    pub fn rounds(&self) -> Option<usize> {
-        self.rounds
-    }
-
-    /// Source-count override (Radii only).
-    pub fn sources(&self) -> Option<usize> {
-        self.sources
+    /// The spec keys of the app's [`iters`](AppSpec::iters) and
+    /// [`roots`](AppSpec::roots) knobs, `None` where it has no such
+    /// knob. A bare value sets the first knob the app has.
+    fn knob_keys(&self) -> (Option<&'static str>, Option<&'static str>) {
+        match self.id {
+            AppId::Pr | AppId::Prd => (Some("iters"), None),
+            AppId::Sssp | AppId::Bc => (None, Some("roots")),
+            AppId::Radii => (Some("rounds"), Some("sources")),
+        }
     }
 }
 
@@ -115,17 +112,11 @@ impl From<AppId> for AppSpec {
 impl fmt::Display for AppSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.token())?;
-        if let Some(v) = self.iters {
-            write!(f, ":iters={v}")?;
-        }
-        if let Some(v) = self.roots {
-            write!(f, ":roots={v}")?;
-        }
-        if let Some(v) = self.rounds {
-            write!(f, ":rounds={v}")?;
-        }
-        if let Some(v) = self.sources {
-            write!(f, ":sources={v}")?;
+        let (iters_key, roots_key) = self.knob_keys();
+        for (key, knob) in [(iters_key, self.iters), (roots_key, self.roots)] {
+            if let (Some(key), Some(v)) = (key, knob) {
+                write!(f, ":{key}={v}")?;
+            }
         }
         Ok(())
     }
@@ -139,12 +130,8 @@ impl FromStr for AppSpec {
         if s.is_empty() {
             return Err(SpecError::Empty);
         }
-        let segments: Vec<&str> = s.split(':').map(str::trim).collect();
-        // `split` always yields at least one segment; destructure
-        // instead of indexing.
-        let Some((&head, rest)) = segments.split_first() else {
-            return Err(SpecError::Empty);
-        };
+        let mut segments = s.split(':').map(str::trim);
+        let head = segments.next().unwrap_or_default();
         let id = AppId::from_name(head).ok_or_else(|| SpecError::UnknownApp {
             token: head.to_owned(),
             valid: AppSpec::all()
@@ -153,37 +140,19 @@ impl FromStr for AppSpec {
                 .collect(),
         })?;
         let mut spec = AppSpec::new(id);
-        for token in rest {
-            let (key, value) = match token.split_once('=') {
-                Some((k, v)) => (Some(k), v),
-                None => (None, *token),
+        let (owner, (iters_key, roots_key)) = (spec.token(), spec.knob_keys());
+        for p in segments.map(Param::new) {
+            // Zero iterations/roots would either be silently clamped or
+            // produce a degenerate run the report then misstates; reject
+            // it like the technique params do. The value is checked
+            // before its key.
+            let knob = p.value(owner, "a positive integer", |&v: &usize| v >= 1)?;
+            let field = match p.key.or(iters_key).or(roots_key) {
+                key if key == iters_key => &mut spec.iters,
+                key if key == roots_key => &mut spec.roots,
+                _ => return Err(p.unknown(owner)),
             };
-            // Zero iterations/roots/rounds/sources would either be
-            // silently clamped or produce a degenerate run the report
-            // then misstates; reject it like the technique params do.
-            let parsed: usize =
-                value
-                    .parse()
-                    .ok()
-                    .filter(|&v| v >= 1)
-                    .ok_or_else(|| SpecError::InvalidValue {
-                        technique: spec.token().to_owned(),
-                        token: (*token).to_owned(),
-                        expected: "a positive integer",
-                    })?;
-            let field = match (id, key) {
-                (AppId::Pr | AppId::Prd, None | Some("iters")) => &mut spec.iters,
-                (AppId::Sssp | AppId::Bc, None | Some("roots")) => &mut spec.roots,
-                (AppId::Radii, None | Some("rounds")) => &mut spec.rounds,
-                (AppId::Radii, Some("sources")) => &mut spec.sources,
-                _ => {
-                    return Err(SpecError::UnknownParam {
-                        technique: spec.token().to_owned(),
-                        token: (*token).to_owned(),
-                    })
-                }
-            };
-            *field = Some(parsed);
+            *field = Some(knob);
         }
         Ok(spec)
     }

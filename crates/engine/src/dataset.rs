@@ -29,7 +29,7 @@ use lgr_graph::datasets::{self, DatasetId, DatasetScale};
 use lgr_graph::{Csr, EdgeList};
 use lgr_parallel::Pool;
 
-use crate::spec::SpecError;
+use crate::spec::{Param, SpecError};
 
 /// Canonical names of the ten built-in dataset analogues, in paper
 /// order. `file:` and `lgr:` specs (see [`DATASET_SPEC_FORMS`]) and
@@ -403,41 +403,21 @@ fn parse_file_spec(tail: &str) -> Result<DatasetSpec, SpecError> {
     })
 }
 
+/// Parses a built-in analogue's `sd=` / `seed=` overrides. Keys and
+/// values are trimmed, and a key is matched before its value is parsed.
 fn parse_synthetic(id: DatasetId, params: &[&str]) -> Result<DatasetSpec, SpecError> {
-    let mut sd_exp: Option<u32> = None;
-    let mut seed: Option<u64> = None;
-    for token in params {
-        let (key, value) = match token.split_once('=') {
-            Some((k, v)) => (Some(k.trim()), v.trim()),
-            None => (None, token.trim()),
-        };
-        match key {
+    let (mut sd_exp, mut seed) = (None, None);
+    for p in params.iter().map(|token| Param::trimmed(token)) {
+        match p.key {
             None | Some("sd") => {
-                sd_exp = Some(
-                    value
-                        .parse::<u32>()
-                        .ok()
-                        .filter(|e| SCALE_EXP_RANGE.contains(e))
-                        .ok_or_else(|| SpecError::InvalidValue {
-                            technique: id.name().to_owned(),
-                            token: (*token).to_owned(),
-                            expected: "a scale exponent in 4..=28 (sd gets 2^exp vertices)",
-                        })?,
-                );
+                sd_exp = Some(p.value(
+                    id.name(),
+                    "a scale exponent in 4..=28 (sd gets 2^exp vertices)",
+                    |e| SCALE_EXP_RANGE.contains(e),
+                )?);
             }
-            Some("seed") => {
-                seed = Some(value.parse::<u64>().map_err(|_| SpecError::InvalidValue {
-                    technique: id.name().to_owned(),
-                    token: (*token).to_owned(),
-                    expected: "a u64 seed",
-                })?);
-            }
-            Some(_) => {
-                return Err(SpecError::UnknownParam {
-                    technique: id.name().to_owned(),
-                    token: (*token).to_owned(),
-                })
-            }
+            Some("seed") => seed = Some(p.value(id.name(), "a u64 seed", |_| true)?),
+            Some(_) => return Err(p.unknown(id.name())),
         }
     }
     Ok(DatasetSpec {

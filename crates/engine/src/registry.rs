@@ -186,11 +186,9 @@ mod tests {
     fn custom_registration_extends_parsing_and_building() {
         let mut reg = TechniqueRegistry::new();
         reg.register("rev", "reverse vertex order", |_args| {
+            #[derive(Debug)]
             struct Rev;
             impl ReorderingTechnique for Rev {
-                fn name(&self) -> &'static str {
-                    "Rev"
-                }
                 fn reorder_with(
                     &self,
                     graph: &Csr,

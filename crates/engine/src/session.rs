@@ -48,8 +48,7 @@ use lgr_core::TimedReorder;
 use lgr_graph::datasets::DatasetScale;
 use lgr_graph::{Csr, DegreeKind, VertexId};
 use lgr_io::DatasetCache;
-use lgr_parallel::Pool;
-use lgr_sync::{rank, Mutex, Rank};
+use lgr_parallel::{par_fill, Pool};
 
 use crate::app::AppSpec;
 use crate::coalesce::{CacheStats, CoalescingCache, EvictionPolicy};
@@ -155,20 +154,20 @@ impl SessionConfig {
     /// sets, else this config's default. Radii's roots are its
     /// sources, [`RADII_MASK_WIDTH`] by default; like every app's
     /// roots they are picked on the original graph, so each ordering
-    /// computes the same problem. PR and PRD ignore theirs.
+    /// computes the same problem. PR and PRD get none: neither kernel
+    /// reads a root.
     pub fn work(&self, app: &AppSpec) -> (Work, usize) {
-        let iters = match app.id() {
-            AppId::Pr => app.iters().unwrap_or(self.pr_iters),
-            AppId::Prd => app.iters().unwrap_or(self.prd_iters),
-            AppId::Radii => app.rounds().unwrap_or(self.radii_rounds),
-            AppId::Sssp | AppId::Bc => usize::MAX,
+        let (iters, roots) = match app.id() {
+            AppId::Pr => (self.pr_iters, 0),
+            AppId::Prd => (self.prd_iters, 0),
+            AppId::Radii => (self.radii_rounds, RADII_MASK_WIDTH),
+            AppId::Sssp | AppId::Bc => (usize::MAX, self.roots),
         };
-        let roots = match app.id() {
-            AppId::Radii => app.sources().unwrap_or(RADII_MASK_WIDTH),
-            _ => app.roots().unwrap_or(self.roots),
+        let work = Work {
+            iters: app.iters().unwrap_or(iters),
+            cores: self.sim.cores,
         };
-        let cores = self.sim.cores;
-        (Work { iters, cores }, roots)
+        (work, app.roots().unwrap_or(roots))
     }
 }
 
@@ -468,10 +467,6 @@ fn speedup_ratio(base: f64, with: f64) -> f64 {
         base / with.max(1.0)
     }
 }
-
-/// A traced run's summed partial statistics; locked inside a pool
-/// broadcast, so while the caller holds `pool.gate`.
-const PARTIALS_RANK: Rank = rank(320, "engine.run.partials");
 
 type ReorderKey = (DatasetSpec, TechniqueSpec, DegreeKind);
 
@@ -785,33 +780,28 @@ impl Session {
     }
 
     /// Runs an app on the simulator. The traced kernel runs once per
-    /// pool worker, each feeding a [`MemorySim::partial`] that owns its
-    /// share of the set partitions; the partial statistics sum to
-    /// exactly what one whole simulator reports, whatever the thread
-    /// count.
+    /// share of the set partitions, one share per pool worker, each
+    /// feeding a [`MemorySim::partial`]; the shares' statistics, added
+    /// in share order, sum to exactly what one whole simulator reports,
+    /// whatever the thread count.
     fn run_traced(&self, app: &AppSpec, graph: &Csr, roots: &[VertexId]) -> SimStats {
         let machine = self.cfg.sim;
         let (work, _) = self.cfg.work(app);
-        let shares = self.pool.threads().min(machine.partitions());
-        let partial = |share| {
+        let mut partials = vec![SimStats::default(); self.pool.threads().min(machine.partitions())];
+        let shares = partials.len();
+        // The closure must not touch the pool: the broadcast holds its
+        // gate, which is not reentrant.
+        par_fill(&self.pool, &mut partials, |share| {
             let sim = app.id().trace(graph, work, roots, |layout| {
                 MemorySim::partial(machine, layout, share, shares)
             });
             *sim.stats()
-        };
-        if shares == 1 {
-            return partial(0);
-        }
-        let total = Mutex::ranked(PARTIALS_RANK, SimStats::default());
-        // The closure must not touch the pool: the broadcast holds its
-        // gate, which is not reentrant.
-        self.pool.broadcast(|worker| {
-            if worker < shares {
-                let stats = partial(worker);
-                *total.lock() += stats;
-            }
         });
-        total.into_inner()
+        let mut total = SimStats::default();
+        for share in partials {
+            total += share;
+        }
+        total
     }
 
     /// Traced PageRank cycles on an arbitrary (already reordered)
@@ -1048,11 +1038,14 @@ impl<'s> JobCx<'s> {
 
     /// The (possibly reordered) graph `job` runs on and its roots,
     /// mapped through the permutation. Reads the graph first, then the
-    /// roots, the permutation and the relabelled graph.
+    /// roots (unless the app takes none), the permutation and the
+    /// relabelled graph.
     fn prepared(&self, job: &Job) -> Result<(Arc<Csr>, Vec<VertexId>), DatasetError> {
         let graph = self.graph()?;
-        let (_, count) = self.session.cfg.work(&job.app);
-        let roots = self.roots(count)?;
+        let roots = match self.session.cfg.work(&job.app) {
+            (_, 0) => Vec::new(),
+            (_, count) => self.roots(count)?,
+        };
         let Some(spec) = &job.technique else {
             return Ok((graph, roots));
         };
@@ -1412,11 +1405,12 @@ mod tests {
         // A job fetches its graph only when it misses a run or the
         // permutation, and then once: jobs 7, 8 and 10 read none.
         // Both graph caches end empty: every graph built is evicted.
+        // Only the SSSP job reads roots; its baseline run hits them.
         let expected = SessionCacheStats {
             graphs: lru(0, 7, 7, 0, 0),
             reorders: lru(17, 7, 0, 9496, 7),
             reordered: lru(0, 7, 7, 0, 0),
-            roots: lru(8, 6, 0, 7312, 6),
+            roots: lru(1, 1, 0, 2072, 1),
             runs: lru(6, 14, 0, 1344, 14),
             walls: lru(0, 0, 0, 0, 0),
         };
@@ -1631,13 +1625,15 @@ mod tests {
         };
         let stats = s.cache_stats();
         // Each build reads the graph once, first; a prepared run then
-        // looks up roots, the permutation and the relabelled graph.
-        // The report's baseline run is the second `runs` miss.
+        // looks up the permutation and the relabelled graph, and no
+        // roots, which PR does not read: the one `roots` lookup is the
+        // direct call. The report's baseline run is the second `runs`
+        // miss.
         let expected = SessionCacheStats {
             graphs: unbounded(5, 1, 15584, 1),
             reorders: unbounded(4, 1, 296, 1),
             reordered: unbounded(2, 1, 15584, 1),
-            roots: unbounded(3, 1, 280, 1),
+            roots: unbounded(0, 1, 280, 1),
             runs: unbounded(3, 2, 192, 2),
             walls: unbounded(0, 1, 16, 1),
         };

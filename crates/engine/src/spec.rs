@@ -54,9 +54,11 @@ pub enum SpecError {
         /// Every name that would have been accepted.
         valid: Vec<String>,
     },
-    /// The technique exists but does not accept this parameter.
+    /// The technique, app or dataset exists but does not accept this
+    /// parameter.
     UnknownParam {
-        /// The technique the parameter was attached to.
+        /// The canonical name of the technique, app or dataset the
+        /// parameter was attached to.
         technique: String,
         /// The offending `key=value` (or bare) token.
         token: String,
@@ -64,7 +66,8 @@ pub enum SpecError {
     /// A parameter was recognized but its value is malformed or out of
     /// range.
     InvalidValue {
-        /// The technique the parameter was attached to.
+        /// The canonical name of the technique, app or dataset the
+        /// parameter was attached to.
         technique: String,
         /// The offending token.
         token: String,
@@ -100,10 +103,7 @@ impl fmt::Display for SpecError {
                 )
             }
             SpecError::UnknownParam { technique, token } => {
-                write!(
-                    f,
-                    "technique `{technique}` does not accept parameter `{token}`"
-                )
+                write!(f, "`{technique}` does not accept parameter `{token}`")
             }
             SpecError::InvalidValue {
                 technique,
@@ -446,173 +446,141 @@ impl FromStr for TechniqueSpec {
     }
 }
 
-/// One raw `key=value` or bare parameter token.
-struct Param<'a> {
+/// One `key=value` or bare parameter token of a technique, app or
+/// dataset spec: the one place the three spec kinds split and check
+/// their knobs.
+pub(crate) struct Param<'a> {
+    /// The token as written; errors quote it.
     token: &'a str,
-    key: Option<&'a str>,
+    /// The part before the first `=`; `None` for a bare token.
+    pub(crate) key: Option<&'a str>,
+    /// The part after the first `=`, or the whole bare token.
     value: &'a str,
 }
 
-fn split_params<'a>(segments: &[&'a str]) -> Vec<Param<'a>> {
-    segments
-        .iter()
-        .map(|&token| match token.split_once('=') {
-            Some((k, v)) => Param {
-                token,
-                key: Some(k),
-                value: v,
-            },
-            None => Param {
-                token,
-                key: None,
-                value: token,
-            },
-        })
-        .collect()
-}
+impl<'a> Param<'a> {
+    /// Splits `token` at its first `=`, trimming nothing.
+    pub(crate) fn new(token: &'a str) -> Self {
+        let (key, value) = match token.split_once('=') {
+            Some((key, value)) => (Some(key), value),
+            None => (None, token),
+        };
+        Param { token, key, value }
+    }
 
-fn parse_u32(technique: &str, p: &Param<'_>, expected: &'static str) -> Result<u32, SpecError> {
-    p.value
-        .parse::<u32>()
-        .ok()
-        .filter(|&v| v >= 1)
-        .ok_or_else(|| SpecError::InvalidValue {
-            technique: technique.to_owned(),
-            token: p.token.to_owned(),
-            expected,
-        })
-}
+    /// [`Param::new`] with the key and value trimmed; errors still
+    /// quote `token` as written.
+    pub(crate) fn trimmed(token: &'a str) -> Self {
+        let p = Param::new(token);
+        Param {
+            key: p.key.map(str::trim),
+            value: p.value.trim(),
+            ..p
+        }
+    }
 
-fn parse_u64(technique: &str, p: &Param<'_>, expected: &'static str) -> Result<u64, SpecError> {
-    p.value.parse::<u64>().map_err(|_| SpecError::InvalidValue {
-        technique: technique.to_owned(),
-        token: p.token.to_owned(),
-        expected,
-    })
-}
+    /// The value as a `T` that `accept` passes, else
+    /// [`SpecError::InvalidValue`] quoting this token for `owner`.
+    pub(crate) fn value<T: FromStr>(
+        &self,
+        owner: &str,
+        expected: &'static str,
+        accept: impl FnOnce(&T) -> bool,
+    ) -> Result<T, SpecError> {
+        self.value
+            .parse::<T>()
+            .ok()
+            .filter(accept)
+            .ok_or_else(|| SpecError::InvalidValue {
+                technique: owner.to_owned(),
+                token: self.token.to_owned(),
+                expected,
+            })
+    }
 
-fn reject_params(name: &str, params: &[Param<'_>]) -> Result<(), SpecError> {
-    match params.first() {
-        None => Ok(()),
-        Some(p) => Err(SpecError::UnknownParam {
-            technique: name.to_owned(),
-            token: p.token.to_owned(),
-        }),
+    /// [`SpecError::UnknownParam`]: `owner` takes no parameter like
+    /// this token.
+    pub(crate) fn unknown(&self, owner: &str) -> SpecError {
+        SpecError::UnknownParam {
+            technique: owner.to_owned(),
+            token: self.token.to_owned(),
+        }
     }
 }
 
 /// Parses one `name[:param]*` atom. `custom_names` extends the
 /// accepted head names (used by [`TechniqueRegistry::parse`](crate::TechniqueRegistry::parse)).
+/// Segments are trimmed, their keys and values are not, and a key is
+/// matched before its value is parsed.
 fn parse_atom(atom: &str, custom_names: &[&str]) -> Result<TechniqueAtom, SpecError> {
-    let segments: Vec<&str> = atom.split(':').map(str::trim).collect();
-    // `split` always yields at least one segment; the destructure
-    // keeps that fact local instead of encoding it as an index.
-    let Some((&head, rest)) = segments.split_first() else {
-        return Err(SpecError::Empty);
-    };
+    let mut segments = atom.split(':').map(str::trim);
+    let head = segments.next().unwrap_or_default();
     if head.is_empty() {
         return Err(SpecError::Empty);
     }
     let lower = head.to_ascii_lowercase();
-    let params = split_params(rest);
-    match lower.as_str() {
-        "orig" | "original" | "identity" | "none" => {
-            reject_params("orig", &params)?;
-            Ok(TechniqueAtom::Original)
+    // The canonical name errors quote, and the atom with every
+    // parameter at its default (`rcb`'s 0 blocks: none given yet).
+    let (name, mut parsed) = match lower.as_str() {
+        "orig" | "original" | "identity" | "none" => ("orig", TechniqueAtom::Original),
+        "sort" => ("sort", TechniqueAtom::Sort),
+        "hubsort" | "hs" => ("hubsort", TechniqueAtom::HubSort),
+        "hubcluster" | "hc" => ("hubcluster", TechniqueAtom::HubCluster),
+        "hubsort-o" | "hubsorto" => ("hubsort-o", TechniqueAtom::HubSortO),
+        "hubcluster-o" | "hubclustero" => ("hubcluster-o", TechniqueAtom::HubClusterO),
+        "gorder" => ("gorder", TechniqueAtom::Gorder),
+        "dbg" => (
+            "dbg",
+            TechniqueAtom::Dbg {
+                hot_groups: DEFAULT_DBG_HOT_GROUPS,
+            },
+        ),
+        "rv" | "random-vertex" => ("rv", TechniqueAtom::RandomVertex { seed: DEFAULT_SEED }),
+        "rcb" | "random-cache-block" => (
+            "rcb",
+            TechniqueAtom::RandomCacheBlock {
+                blocks: 0,
+                seed: DEFAULT_SEED,
+            },
+        ),
+        other if custom_names.contains(&other) => {
+            return Ok(TechniqueAtom::Custom {
+                name: other.to_owned(),
+                args: segments.map(str::to_owned).collect(),
+            })
         }
-        "sort" => {
-            reject_params("sort", &params)?;
-            Ok(TechniqueAtom::Sort)
-        }
-        "hubsort" | "hs" => {
-            reject_params("hubsort", &params)?;
-            Ok(TechniqueAtom::HubSort)
-        }
-        "hubcluster" | "hc" => {
-            reject_params("hubcluster", &params)?;
-            Ok(TechniqueAtom::HubCluster)
-        }
-        "hubsort-o" | "hubsorto" => {
-            reject_params("hubsort-o", &params)?;
-            Ok(TechniqueAtom::HubSortO)
-        }
-        "hubcluster-o" | "hubclustero" => {
-            reject_params("hubcluster-o", &params)?;
-            Ok(TechniqueAtom::HubClusterO)
-        }
-        "gorder" => {
-            reject_params("gorder", &params)?;
-            Ok(TechniqueAtom::Gorder)
-        }
-        "dbg" => {
-            let mut hot_groups = DEFAULT_DBG_HOT_GROUPS;
-            for p in &params {
-                match p.key {
-                    None | Some("groups") => {
-                        hot_groups = parse_u32("dbg", p, "a positive group count")?;
-                    }
-                    Some(_) => {
-                        return Err(SpecError::UnknownParam {
-                            technique: "dbg".to_owned(),
-                            token: p.token.to_owned(),
-                        })
-                    }
-                }
-            }
-            Ok(TechniqueAtom::Dbg { hot_groups })
-        }
-        "rv" | "random-vertex" => {
-            let mut seed = DEFAULT_SEED;
-            for p in &params {
-                match p.key {
-                    None | Some("seed") => seed = parse_u64("rv", p, "a u64 seed")?,
-                    Some(_) => {
-                        return Err(SpecError::UnknownParam {
-                            technique: "rv".to_owned(),
-                            token: p.token.to_owned(),
-                        })
-                    }
-                }
-            }
-            Ok(TechniqueAtom::RandomVertex { seed })
-        }
-        "rcb" | "random-cache-block" => {
-            let mut blocks: Option<u32> = None;
-            let mut seed = DEFAULT_SEED;
-            for p in &params {
-                match p.key {
-                    None | Some("blocks") => {
-                        blocks = Some(parse_u32("rcb", p, "a positive block count")?);
-                    }
-                    Some("seed") => seed = parse_u64("rcb", p, "a u64 seed")?,
-                    Some(_) => {
-                        return Err(SpecError::UnknownParam {
-                            technique: "rcb".to_owned(),
-                            token: p.token.to_owned(),
-                        })
-                    }
-                }
-            }
-            let blocks = blocks.ok_or(SpecError::InvalidValue {
-                technique: "rcb".to_owned(),
-                token: atom.to_owned(),
-                expected: "a block count, e.g. `rcb:4`",
-            })?;
-            Ok(TechniqueAtom::RandomCacheBlock { blocks, seed })
-        }
-        other if custom_names.contains(&other) => Ok(TechniqueAtom::Custom {
-            name: other.to_owned(),
-            args: rest.iter().map(|s| s.to_string()).collect(),
-        }),
         _ => {
             let mut valid: Vec<String> = BUILTIN_TECHNIQUES.iter().map(|s| s.to_string()).collect();
             valid.extend(custom_names.iter().map(|s| s.to_string()));
-            Err(SpecError::UnknownTechnique {
+            return Err(SpecError::UnknownTechnique {
                 token: head.to_owned(),
                 valid,
-            })
+            });
+        }
+    };
+    for p in segments.map(Param::new) {
+        match (&mut parsed, p.key) {
+            (TechniqueAtom::Dbg { hot_groups }, None | Some("groups")) => {
+                *hot_groups = p.value(name, "a positive group count", |&v| v >= 1)?;
+            }
+            (TechniqueAtom::RandomVertex { seed }, None | Some("seed"))
+            | (TechniqueAtom::RandomCacheBlock { seed, .. }, Some("seed")) => {
+                *seed = p.value(name, "a u64 seed", |_| true)?;
+            }
+            (TechniqueAtom::RandomCacheBlock { blocks, .. }, None | Some("blocks")) => {
+                *blocks = p.value(name, "a positive block count", |&v| v >= 1)?;
+            }
+            _ => return Err(p.unknown(name)),
         }
     }
+    if let TechniqueAtom::RandomCacheBlock { blocks: 0, .. } = parsed {
+        return Err(SpecError::InvalidValue {
+            technique: name.to_owned(),
+            token: atom.to_owned(),
+            expected: "a block count, e.g. `rcb:4`",
+        });
+    }
+    Ok(parsed)
 }
 
 /// Shared parser behind [`TechniqueSpec::from_str`] and the registry.

@@ -28,11 +28,9 @@ fn counting_session() -> (Session, Arc<AtomicUsize>, Arc<AtomicUsize>) {
         "counted",
         "DBG that counts reorder invocations",
         move |_args| {
+            #[derive(Debug)]
             struct Counted(Arc<AtomicUsize>);
             impl ReorderingTechnique for Counted {
-                fn name(&self) -> &'static str {
-                    "Counted"
-                }
                 fn reorder_with(&self, graph: &Csr, kind: DegreeKind, _pool: &Pool) -> Permutation {
                     self.0.fetch_add(1, Ordering::SeqCst);
                     Dbg::with_hot_groups(DEFAULT_DBG_HOT_GROUPS).reorder(graph, kind)

@@ -193,3 +193,102 @@ proptest! {
         }
     }
 }
+
+/// One row per corner of the grammar: an input and its exact outcome,
+/// `Ok(canonical)` or `Err(message)` as the CLIs and the serve
+/// protocol print it. Technique segments are trimmed but their keys
+/// and values are not; dataset keys and values are trimmed, yet their
+/// errors quote the token as written; apps check a value before its
+/// key; a block-less `rcb` quotes its whole atom.
+type Corners = &'static [(&'static str, Result<&'static str, &'static str>)];
+
+#[rustfmt::skip]
+const TECHNIQUE_CORNERS: Corners = &[
+    ("dbg:groups =4", Err("`dbg` does not accept parameter `groups =4`")),
+    ("dbg: groups=4", Ok("dbg:groups=4")),
+    ("dbg: groups=x", Err("invalid value `groups=x` for `dbg`: expected a positive group count")),
+    ("dbg:0", Err("invalid value `0` for `dbg`: expected a positive group count")),
+    ("dbg:seed=3", Err("`dbg` does not accept parameter `seed=3`")),
+    ("dbg:groups=", Err("invalid value `groups=` for `dbg`: expected a positive group count")),
+    ("dbg:=4", Err("`dbg` does not accept parameter `=4`")),
+    ("dbg:groups=4:groups=2", Ok("dbg:groups=2")),
+    ("rv:-1", Err("invalid value `-1` for `rv`: expected a u64 seed")),
+    ("rv:seed= 5", Err("invalid value `seed= 5` for `rv`: expected a u64 seed")),
+    ("rv:18446744073709551616", Err("invalid value `18446744073709551616` for `rv`: expected a u64 seed")),
+    ("rcb", Err("invalid value `rcb` for `rcb`: expected a block count, e.g. `rcb:4`")),
+    ("rcb:seed=3", Err("invalid value `rcb:seed=3` for `rcb`: expected a block count, e.g. `rcb:4`")),
+    ("RCB:seed=3", Err("invalid value `RCB:seed=3` for `rcb`: expected a block count, e.g. `rcb:4`")),
+    (" rcb:seed=3 +sort", Err("invalid value `rcb:seed=3` for `rcb`: expected a block count, e.g. `rcb:4`")),
+    ("rcb:0", Err("invalid value `0` for `rcb`: expected a positive block count")),
+    ("rcb:4294967296", Err("invalid value `4294967296` for `rcb`: expected a positive block count")),
+    ("rcb:2:blocks=3", Ok("rcb:3")),
+    ("gorder+rcb:2:seed=1", Ok("gorder+rcb:2:seed=1")),
+    ("orig:x", Err("`orig` does not accept parameter `x`")),
+    ("sort:", Err("`sort` does not accept parameter ``")),
+    ("HC", Ok("hubcluster")),
+    ("hubsorto", Ok("hubsort-o")),
+    ("+dbg", Err("empty spec")),
+];
+
+#[rustfmt::skip]
+const APP_CORNERS: Corners = &[
+    ("pr:roots=abc", Err("invalid value `roots=abc` for `pr`: expected a positive integer")),
+    ("pr:roots=4", Err("`pr` does not accept parameter `roots=4`")),
+    ("pr:iters =4", Err("`pr` does not accept parameter `iters =4`")),
+    ("PR:Iters=3", Err("`pr` does not accept parameter `Iters=3`")),
+    ("prd:iters= 2", Err("invalid value `iters= 2` for `prd`: expected a positive integer")),
+    ("pr:iters=4:iters=5", Ok("pr:iters=5")),
+    ("pr:", Err("invalid value `` for `pr`: expected a positive integer")),
+    ("radii:sources=9:rounds=5", Ok("radii:rounds=5:sources=9")),
+    ("radii:rounds=3:sources=2", Ok("radii:rounds=3:sources=2")),
+    ("radii:9", Ok("radii:rounds=9")),
+    ("radii:sources=0", Err("invalid value `sources=0` for `radii`: expected a positive integer")),
+    ("radii:sources=x", Err("invalid value `sources=x` for `radii`: expected a positive integer")),
+    ("sssp:5", Ok("sssp:roots=5")),
+    ("bc:roots=0", Err("invalid value `roots=0` for `bc`: expected a positive integer")),
+    ("bc:roots=-1", Err("invalid value `roots=-1` for `bc`: expected a positive integer")),
+    (":iters=3", Err("unknown app ``; valid: bc, sssp, pr, prd, radii")),
+];
+
+#[rustfmt::skip]
+const DATASET_CORNERS: Corners = &[
+    ("kr:sd =15", Ok("kr:sd=15")),
+    ("kr:sd= 15", Ok("kr:sd=15")),
+    ("kr: seed = 4 ", Ok("kr:seed=4")),
+    ("kr: sd=x", Err("invalid value ` sd=x` for `kr`: expected a scale exponent in 4..=28 (sd gets 2^exp vertices)")),
+    ("kr:sd=29", Err("invalid value `sd=29` for `kr`: expected a scale exponent in 4..=28 (sd gets 2^exp vertices)")),
+    ("kr:seed=x", Err("invalid value `seed=x` for `kr`: expected a u64 seed")),
+    ("kr:", Err("invalid value `` for `kr`: expected a scale exponent in 4..=28 (sd gets 2^exp vertices)")),
+    ("kr:sd=4:flavor", Err("invalid value `flavor` for `kr`: expected a scale exponent in 4..=28 (sd gets 2^exp vertices)")),
+    ("kron:15:seed=2", Ok("kr:sd=15:seed=2")),
+    ("sd:sd=10:sd=12", Ok("sd:sd=12")),
+    ("uni:sd=3", Err("invalid value `sd=3` for `uni`: expected a scale exponent in 4..=28 (sd gets 2^exp vertices)")),
+    ("kr:flavor=hot", Err("`kr` does not accept parameter `flavor=hot`")),
+    ("file::weighted", Err("invalid value `:weighted` for `file`: expected a file path, e.g. `file:/data/web.el`")),
+    ("file:", Err("invalid value `` for `file`: expected a file path, e.g. `file:/data/web.el`")),
+    ("file:/x.mtx:fmt=xml", Err("invalid value `fmt=xml` for `file`: expected fmt=el or fmt=mtx")),
+    ("file:/a.el:FMT=MTX", Ok("file:/a.el:fmt=mtx")),
+    ("file:/a.el: weighted", Ok("file:/a.el:weighted")),
+    ("lgr:", Err("invalid value `lgr:` for `lgr`: expected a file path, e.g. `lgr:/data/web.lgr`")),
+    ("LGR: /a.lgr", Ok("lgr:/a.lgr")),
+    (":sd=3", Err("empty spec")),
+];
+
+/// Checks each row of `corners` parsed as `T`.
+fn check_corners<T>(corners: Corners)
+where
+    T: std::str::FromStr<Err = SpecError> + std::fmt::Display,
+{
+    for &(input, expected) in corners {
+        let got = input.parse::<T>().map(|v| v.to_string());
+        let got = got.as_deref().map_err(|e| e.to_string());
+        assert_eq!(got, expected.map_err(str::to_owned), "{input:?}");
+    }
+}
+
+#[test]
+fn corner_cases_keep_their_results() {
+    check_corners::<TechniqueSpec>(TECHNIQUE_CORNERS);
+    check_corners::<AppSpec>(APP_CORNERS);
+    check_corners::<DatasetSpec>(DATASET_CORNERS);
+}

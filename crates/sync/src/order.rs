@@ -27,7 +27,6 @@ use std::cell::RefCell;
 /// | 200   | `engine.cache.slot` (a per-key in-flight slot) |
 /// | 300   | `pool.gate` (broadcast serialization) |
 /// | 310   | `pool.state` (epoch/job handshake) |
-/// | 320   | `engine.run.partials` (a traced run's summed shares, inside a broadcast) |
 /// | 400+  | `serve.*` (batch-client result collection) |
 ///
 /// [`CoalescingCache`]: https://docs.rs/lgr-engine

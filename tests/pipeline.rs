@@ -25,14 +25,14 @@ fn all_techniques_on_all_datasets_preserve_graph() {
         let g = test_graph(ds);
         for t in &techniques {
             let p = t.reorder(&g, DegreeKind::Out);
-            assert_eq!(p.len(), g.num_vertices(), "{} on {}", t.name(), ds.name());
+            assert_eq!(p.len(), g.num_vertices(), "{t:?} on {}", ds.name());
             let h = g.apply_permutation(&p);
             assert_eq!(h.num_edges(), g.num_edges());
             let mut dg = g.out_degrees();
             let mut dh = h.out_degrees();
             dg.sort_unstable();
             dh.sort_unstable();
-            assert_eq!(dg, dh, "{} on {} changed degrees", t.name(), ds.name());
+            assert_eq!(dg, dh, "{t:?} on {} changed degrees", ds.name());
         }
     }
 }
@@ -62,8 +62,7 @@ fn pagerank_invariant_under_reordering() {
         for (v, (a, b)) in base.ranks.iter().zip(mapped.iter()).enumerate() {
             assert!(
                 (a - b).abs() < 1e-10,
-                "{}: rank of vertex {v} changed: {a} vs {b}",
-                t.name()
+                "{t:?}: rank of vertex {v} changed: {a} vs {b}"
             );
         }
     }
@@ -87,7 +86,7 @@ fn sssp_invariant_under_reordering() {
         let h = g.apply_permutation(&p);
         let res = sssp(&h, &SsspConfig::from_root(p.new_id(root)), &mut NullTracer);
         let mapped = verify::remap(&res.distances, &p);
-        assert_eq!(mapped, base.distances, "{} changed distances", t.name());
+        assert_eq!(mapped, base.distances, "{t:?} changed distances");
     }
 }
 

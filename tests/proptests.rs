@@ -84,9 +84,9 @@ proptest! {
             let p = t.reorder(&g, DegreeKind::Out);
             // from_new_ids validates bijectivity internally; re-validate
             // through the public constructor.
-            prop_assert!(Permutation::from_new_ids(p.new_ids().to_vec()).is_ok(), "{}", t.name());
+            prop_assert!(Permutation::from_new_ids(p.new_ids().to_vec()).is_ok(), "{:?}", t);
             let inv = Permutation::from_new_ids(p.inverse()).unwrap();
-            prop_assert!(p.then(&inv).is_identity(), "{}", t.name());
+            prop_assert!(p.then(&inv).is_identity(), "{:?}", t);
         }
     }
 
@@ -102,7 +102,7 @@ proptest! {
             let mut b = h.in_degrees();
             a.sort_unstable();
             b.sort_unstable();
-            prop_assert_eq!(a, b, "{}", t.name());
+            prop_assert_eq!(a, b, "{:?}", t);
         }
     }
 

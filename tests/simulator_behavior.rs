@@ -67,8 +67,7 @@ fn reordering_cuts_llc_misses_on_unstructured_skewed_graph() {
         let s = pr_stats(&h);
         assert!(
             s.l3.misses < base.l3.misses,
-            "{} did not cut L3 misses: {} vs {}",
-            tech.name(),
+            "{tech:?} did not cut L3 misses: {} vs {}",
             s.l3.misses,
             base.l3.misses
         );
