@@ -91,11 +91,6 @@ impl AppId {
         }
     }
 
-    /// `true` for the push-dominated applications analyzed in Fig. 9.
-    pub fn is_push_dominated(self) -> bool {
-        matches!(self, AppId::Sssp | AppId::Prd)
-    }
-
     /// Looks an application up by display name (case-insensitive).
     pub fn from_name(name: &str) -> Option<AppId> {
         AppId::ALL
@@ -226,13 +221,6 @@ mod tests {
         assert_eq!(AppId::Pr.reorder_degree(), DegreeKind::Out);
         assert_eq!(AppId::Prd.reorder_degree(), DegreeKind::In);
         assert_eq!(AppId::Radii.reorder_degree(), DegreeKind::Out);
-    }
-
-    #[test]
-    fn push_classification() {
-        assert!(AppId::Sssp.is_push_dominated());
-        assert!(AppId::Prd.is_push_dominated());
-        assert!(!AppId::Pr.is_push_dominated());
     }
 
     #[test]

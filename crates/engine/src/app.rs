@@ -141,18 +141,16 @@ impl FromStr for AppSpec {
         })?;
         let mut spec = AppSpec::new(id);
         let (owner, (iters_key, roots_key)) = (spec.token(), spec.knob_keys());
-        for p in segments.map(Param::new) {
-            // Zero iterations/roots would either be silently clamped or
-            // produce a degenerate run the report then misstates; reject
-            // it like the technique params do. The value is checked
-            // before its key.
-            let knob = p.value(owner, "a positive integer", |&v: &usize| v >= 1)?;
+        for p in segments.map(Param::trimmed) {
             let field = match p.key.or(iters_key).or(roots_key) {
                 key if key == iters_key => &mut spec.iters,
                 key if key == roots_key => &mut spec.roots,
                 _ => return Err(p.unknown(owner)),
             };
-            *field = Some(knob);
+            // Zero iterations/roots would either be silently clamped or
+            // produce a degenerate run the report then misstates; reject
+            // it like the technique params do.
+            *field = Some(p.value(owner, "a positive integer", |&v| v >= 1)?);
         }
         Ok(spec)
     }

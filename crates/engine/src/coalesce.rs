@@ -1,7 +1,7 @@
 //! Build-coalescing concurrent caches with byte budgets.
 //!
 //! [`CoalescingCache`] is the storage behind every
-//! [`Session`](crate::Session) cache: one `RwLock`-guarded hash map
+//! [`Session`](crate::Session) cache: one `Mutex`-guarded hash map
 //! whose values are `Arc`-shared, plus a per-key *in-flight slot*
 //! that coalesces concurrent builds. When N threads ask for the same
 //! missing key at once, exactly one runs the (typically expensive — a
@@ -11,8 +11,9 @@
 //! *other* caches (a reorder build fetching its base graph, say)
 //! without lock-ordering concerns.
 //!
-//! One lock per cache is enough: a job makes a handful of cache calls
-//! from the thread that drives it, against milliseconds to seconds of
+//! One plain mutex per cache is enough: a job makes a handful of cache
+//! calls from the thread that drives it, each holding the map for one
+//! hash probe and one `Arc` clone, against milliseconds to seconds of
 //! graph work, and pool workers never touch a cache. The model tests
 //! in `tests/model.rs` therefore explore exactly the structure that
 //! runs.
@@ -33,7 +34,7 @@
 //! request sequence evicts the same entries on every run. Eviction
 //! composes with coalescing:
 //!
-//! * it runs under the same map write-lock hold that publishes, so
+//! * it runs under the same map-lock hold that publishes, so
 //!   picking a victim and removing it is one step no other thread
 //!   can interleave with;
 //! * an in-flight `Building` slot is **never** evictable (only
@@ -55,7 +56,7 @@ use std::hash::{BuildHasherDefault, Hash};
 use std::sync::Arc;
 
 use lgr_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use lgr_sync::{rank, Condvar, Mutex, MutexGuard, Rank, RwLock};
+use lgr_sync::{rank, Condvar, Mutex, MutexGuard, Rank};
 
 use crate::weight::CacheWeight;
 
@@ -197,7 +198,7 @@ impl<K, V> Entries<K, V> {
 /// assert_eq!(cache.stats().hits, 1);
 /// ```
 pub struct CoalescingCache<K, V> {
-    map: RwLock<Entries<K, V>>,
+    map: Mutex<Entries<K, V>>,
     /// Byte budget for published values; `None` = unbounded.
     budget_bytes: Option<u64>,
     /// Monotone logical clock stamped onto slots on hit/publish.
@@ -225,7 +226,7 @@ where
     /// values resident (`None` = unbounded).
     pub fn new(budget_bytes: Option<u64>) -> Self {
         CoalescingCache {
-            map: RwLock::ranked(
+            map: Mutex::ranked(
                 MAP_RANK,
                 Entries {
                     slots: HashMap::default(),
@@ -243,7 +244,7 @@ where
     /// A snapshot of the cache's counters. `entries` and
     /// `resident_bytes` are instantaneous; the rest are cumulative.
     pub fn stats(&self) -> CacheStats {
-        let map = self.map.read();
+        let map = self.map.lock();
         CacheStats {
             // ordering: Relaxed — monotone counters read for a
             // statistical snapshot; no other memory is published
@@ -266,29 +267,23 @@ where
         self.clock.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// The key's slot, inserting an empty one under the map's write
-    /// lock if needed. Most calls take only the read lock.
+    /// The key's slot, looked up or inserted empty under one hold of
+    /// the map lock. Only a miss clones the key.
     fn slot(&self, key: &K) -> Arc<Slot<V>> {
-        // The read guard is a temporary in the `if let` scrutinee, so
-        // it is dropped before the `write()` below — no read→write
-        // self-deadlock, and no same-rank reacquire for the auditor.
-        if let Some(s) = self.map.read().slots.get(key) {
+        let mut map = self.map.lock();
+        if let Some(s) = map.slots.get(key) {
             return Arc::clone(s);
         }
-        Arc::clone(
-            self.map
-                .write()
-                .slots
-                .entry(key.clone())
-                .or_insert_with(|| Arc::new(Slot::new())),
-        )
+        let slot = Arc::new(Slot::new());
+        map.slots.insert(key.clone(), Arc::clone(&slot));
+        slot
     }
 
     /// The cached value, if already published. Refreshes the entry's
     /// recency but moves no hit/miss counter (peeks are not
     /// requests).
     pub fn get(&self, key: &K) -> Option<Arc<V>> {
-        let map = self.map.read();
+        let map = self.map.lock();
         let slot = map.slots.get(key)?;
         let value = match &mut *slot.lock() {
             SlotState::Ready {
@@ -304,7 +299,7 @@ where
 
     /// Number of published entries (in-flight builds don't count).
     pub fn len(&self) -> usize {
-        self.map.read().published()
+        self.map.lock().published()
     }
 
     /// `true` if no entry has been published yet.
@@ -317,7 +312,7 @@ where
     /// a failed build with no waiters the abandoned slot must not
     /// remain here.
     pub fn tracked_slots(&self) -> usize {
-        self.map.read().slots.len()
+        self.map.lock().slots.len()
     }
 
     /// The value for `key`, running `build` at most once per key no
@@ -402,7 +397,7 @@ where
     }
 
     /// Publishes a built value into its slot, charges the budget, and
-    /// evicts down to it, all under one hold of the map's write lock.
+    /// evicts down to it, all under one hold of the map lock.
     ///
     /// The common case is trivial: the slot is still this key's map
     /// entry, so flip it to `Ready` and account the bytes. The rare
@@ -414,7 +409,7 @@ where
     /// but if another (newer) slot owns the map entry, ours stays
     /// detached and unaccounted — the newer build owns the residency.
     fn publish(&self, key: &K, slot: &Arc<Slot<V>>, value: Arc<V>, bytes: u64) {
-        let mut map = self.map.write();
+        let mut map = self.map.lock();
         let accounted = match map.slots.get(key) {
             Some(s) if Arc::ptr_eq(s, slot) => true,
             Some(_) => false,
@@ -490,14 +485,14 @@ where
             return;
         }
         // Map lock before slot lock (the global ordering). Holding
-        // the map write lock across the rollback keeps a new waiter
+        // the map lock across the rollback keeps a new waiter
         // from resolving the map entry between the state reset and
         // the removal decision.
-        let mut map = self.cache.map.write();
+        let mut map = self.cache.map.lock();
         *self.slot.lock() = SlotState::Empty;
         self.slot.changed.notify_all();
         // ordering: Relaxed — `waiters` is only mutated under the slot
-        // mutex, which this thread just released inside the map write
+        // mutex, which this thread just released inside the map lock
         // section; a waiter that could still increment it must first
         // reacquire the slot mutex, ordered after our store.
         if self.slot.waiters.load(Ordering::Relaxed) == 0
@@ -620,6 +615,25 @@ mod tests {
         // later build succeeds.
         assert_eq!(cache.tracked_slots(), 0);
         assert_eq!(*cache.get_or_try_build::<()>(&3, || Ok(5)).unwrap(), 5);
+    }
+
+    #[test]
+    fn a_builder_may_call_its_own_cache() {
+        // Builders run with no map lock held. Were the map still
+        // locked here, the nested calls would self-deadlock (or, in
+        // debug builds, trip the auditor's same-rank check).
+        let cache: CoalescingCache<u32, u32> = CoalescingCache::new(None);
+        let v = cache.get_or_try_build::<()>(&1, || {
+            let inner = cache.get_or_try_build::<()>(&2, || Ok(20))?;
+            assert_eq!(cache.get(&2).as_deref(), Some(&20));
+            let stats = cache.stats();
+            assert_eq!((stats.hits, stats.misses), (0, 2));
+            // Key 2 is published; key 1 is still building.
+            assert_eq!(cache.len(), 1);
+            Ok(*inner + 1)
+        });
+        assert_eq!(*v.unwrap(), 21);
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]

@@ -537,6 +537,7 @@ struct DatasetEntry {
 ///
 /// ```
 /// use lgr_engine::DatasetRegistry;
+/// use lgr_graph::datasets::DatasetScale;
 /// use lgr_graph::EdgeList;
 /// use lgr_parallel::Pool;
 ///
@@ -550,7 +551,7 @@ struct DatasetEntry {
 ///     Ok(el)
 /// });
 /// let spec = reg.parse("ring:12").unwrap();
-/// let graph = reg.build(&spec, Default::default(), &Pool::new(1)).unwrap();
+/// let graph = reg.build(&spec, DatasetScale::tiny(), &Pool::new(1)).unwrap();
 /// ```
 #[derive(Default)]
 pub struct DatasetRegistry {

@@ -459,23 +459,17 @@ pub(crate) struct Param<'a> {
 }
 
 impl<'a> Param<'a> {
-    /// Splits `token` at its first `=`, trimming nothing.
-    pub(crate) fn new(token: &'a str) -> Self {
+    /// Splits `token` at its first `=` and trims the key and value;
+    /// errors still quote `token` as written.
+    pub(crate) fn trimmed(token: &'a str) -> Self {
         let (key, value) = match token.split_once('=') {
-            Some((key, value)) => (Some(key), value),
+            Some((key, value)) => (Some(key.trim()), value),
             None => (None, token),
         };
-        Param { token, key, value }
-    }
-
-    /// [`Param::new`] with the key and value trimmed; errors still
-    /// quote `token` as written.
-    pub(crate) fn trimmed(token: &'a str) -> Self {
-        let p = Param::new(token);
         Param {
-            key: p.key.map(str::trim),
-            value: p.value.trim(),
-            ..p
+            token,
+            key,
+            value: value.trim(),
         }
     }
 
@@ -510,8 +504,8 @@ impl<'a> Param<'a> {
 
 /// Parses one `name[:param]*` atom. `custom_names` extends the
 /// accepted head names (used by [`TechniqueRegistry::parse`](crate::TechniqueRegistry::parse)).
-/// Segments are trimmed, their keys and values are not, and a key is
-/// matched before its value is parsed.
+/// Segments, keys and values are trimmed, and a key is matched before
+/// its value is parsed.
 fn parse_atom(atom: &str, custom_names: &[&str]) -> Result<TechniqueAtom, SpecError> {
     let mut segments = atom.split(':').map(str::trim);
     let head = segments.next().unwrap_or_default();
@@ -558,7 +552,7 @@ fn parse_atom(atom: &str, custom_names: &[&str]) -> Result<TechniqueAtom, SpecEr
             });
         }
     };
-    for p in segments.map(Param::new) {
+    for p in segments.map(Param::trimmed) {
         match (&mut parsed, p.key) {
             (TechniqueAtom::Dbg { hot_groups }, None | Some("groups")) => {
                 *hot_groups = p.value(name, "a positive group count", |&v| v >= 1)?;

@@ -192,10 +192,7 @@ impl DatasetId {
 /// Global scale knob for the dataset suite.
 ///
 /// `sd_vertices` is the vertex count of the largest dataset (`sd`);
-/// every other dataset keeps its Table IX ratio to it. The default
-/// (256 Ki vertices) keeps the sd property array ~2 MiB — roughly 4x
-/// the default simulated LLC, preserving the paper's "hot vertices
-/// don't fit in LLC" regime.
+/// every other dataset keeps its Table IX ratio to it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DatasetScale {
     /// Vertex count of the `sd` dataset; others scale by their ratio.
@@ -204,29 +201,18 @@ pub struct DatasetScale {
     pub seed: u64,
 }
 
-impl Default for DatasetScale {
-    fn default() -> Self {
-        DatasetScale {
-            sd_vertices: 1 << 18,
-            seed: 42,
-        }
-    }
-}
-
 impl DatasetScale {
     /// A scale suitable for unit tests (sd = 2^13 vertices).
     pub fn tiny() -> Self {
-        DatasetScale {
-            sd_vertices: 1 << 13,
-            seed: 42,
-        }
+        Self::with_sd_vertices(1 << 13)
     }
 
-    /// A scale with `sd_vertices` vertices for the largest dataset.
+    /// A scale with `sd_vertices` vertices for the largest dataset
+    /// and the base seed 42.
     pub fn with_sd_vertices(sd_vertices: usize) -> Self {
         DatasetScale {
             sd_vertices,
-            ..Default::default()
+            seed: 42,
         }
     }
 

@@ -1,4 +1,4 @@
-//! Degree selection and hot/cold classification.
+//! Degree selection and the hot/cold threshold.
 //!
 //! The paper's skew-aware techniques reorder by in-degree or out-degree
 //! depending on the application's computation model (Table VIII): pull
@@ -21,8 +21,6 @@ pub enum DegreeKind {
     /// Out-degree (used by pull-dominated applications: BC, PR, Radii).
     #[default]
     Out,
-    /// Sum of in- and out-degree.
-    Both,
 }
 
 impl DegreeKind {
@@ -35,16 +33,14 @@ impl DegreeKind {
     /// Extracts the selected degree of every vertex on the pool. The
     /// output is the same for every pool size (degree reads are pure).
     pub fn degrees_with(self, graph: &Csr, pool: &Pool) -> Vec<u32> {
-        let (ins, outs) = (graph.in_offsets(), graph.out_offsets());
+        let offsets = match self {
+            DegreeKind::In => graph.in_offsets(),
+            DegreeKind::Out => graph.out_offsets(),
+        };
         let mut d = vec![0u32; graph.num_vertices()];
         let ranges = even_ranges(d.len(), pool.threads());
-        par_chunks_mut(pool, &mut d, &ranges, |_, range, chunk| match self {
-            DegreeKind::In => fill(chunk, offset_gaps(ins, range)),
-            DegreeKind::Out => fill(chunk, offset_gaps(outs, range)),
-            DegreeKind::Both => {
-                let both = offset_gaps(ins, range.clone()).zip(offset_gaps(outs, range));
-                fill(chunk, both.map(|(i, o)| i + o));
-            }
+        par_chunks_mut(pool, &mut d, &ranges, |_, range, chunk| {
+            fill(chunk, offset_gaps(offsets, range))
         });
         d
     }
@@ -74,12 +70,6 @@ pub fn average_degree(degrees: &[u32]) -> f64 {
     }
 }
 
-/// Returns the hot-vertex mask: `mask[v]` is `true` iff
-/// `degrees[v] as f64 >= threshold`.
-pub fn hot_mask(degrees: &[u32], threshold: f64) -> Vec<bool> {
-    degrees.iter().map(|&d| d as f64 >= threshold).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,14 +90,12 @@ mod tests {
         let g = star();
         assert_eq!(DegreeKind::In.degrees(&g), vec![3, 1, 0, 0]);
         assert_eq!(DegreeKind::Out.degrees(&g), vec![1, 1, 1, 1]);
-        assert_eq!(DegreeKind::Both.degrees(&g), vec![4, 2, 1, 1]);
     }
 
     #[test]
     fn average_and_hot_mask() {
         let d = vec![3, 1, 0, 0];
         assert_eq!(average_degree(&d), 1.0);
-        assert_eq!(hot_mask(&d, 1.0), vec![true, true, false, false]);
     }
 
     #[test]

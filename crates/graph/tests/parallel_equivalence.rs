@@ -133,12 +133,7 @@ proptest! {
     fn parallel_degrees_match_sequential(el in arb_edge_list()) {
         let g = Csr::from_edge_list(&el);
         let (ins, outs) = (el.in_degrees(), el.out_degrees());
-        let both: Vec<u32> = ins.iter().zip(&outs).map(|(i, o)| i + o).collect();
-        for (kind, expected) in [
-            (DegreeKind::In, &ins),
-            (DegreeKind::Out, &outs),
-            (DegreeKind::Both, &both),
-        ] {
+        for (kind, expected) in [(DegreeKind::In, &ins), (DegreeKind::Out, &outs)] {
             prop_assert_eq!(&kind.degrees(&g), expected);
             for threads in THREADS {
                 let pool = Pool::new(threads);

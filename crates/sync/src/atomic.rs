@@ -70,10 +70,6 @@ macro_rules! atomic_wrapper {
                 self.at(concat!($labelbase, ".store"), |a| a.store(value, order))
             }
 
-            pub fn swap(&self, value: $prim, order: Ordering) -> $prim {
-                self.at(concat!($labelbase, ".swap"), |a| a.swap(value, order))
-            }
-
             pub fn fetch_add(&self, value: $prim, order: Ordering) -> $prim {
                 self.at(concat!($labelbase, ".fetch_add"), |a| {
                     a.fetch_add(value, order)
@@ -84,46 +80,6 @@ macro_rules! atomic_wrapper {
                 self.at(concat!($labelbase, ".fetch_sub"), |a| {
                     a.fetch_sub(value, order)
                 })
-            }
-
-            pub fn fetch_max(&self, value: $prim, order: Ordering) -> $prim {
-                self.at(concat!($labelbase, ".fetch_max"), |a| {
-                    a.fetch_max(value, order)
-                })
-            }
-
-            pub fn fetch_min(&self, value: $prim, order: Ordering) -> $prim {
-                self.at(concat!($labelbase, ".fetch_min"), |a| {
-                    a.fetch_min(value, order)
-                })
-            }
-
-            pub fn compare_exchange(
-                &self,
-                current: $prim,
-                new: $prim,
-                success: Ordering,
-                failure: Ordering,
-            ) -> Result<$prim, $prim> {
-                self.at(concat!($labelbase, ".compare_exchange"), |a| {
-                    a.compare_exchange(current, new, success, failure)
-                })
-            }
-
-            pub fn fetch_update(
-                &self,
-                set_order: Ordering,
-                fetch_order: Ordering,
-                f: impl FnMut($prim) -> Option<$prim>,
-            ) -> Result<$prim, $prim> {
-                self.at(concat!($labelbase, ".fetch_update"), |a| {
-                    a.fetch_update(set_order, fetch_order, f)
-                })
-            }
-
-            /// Mutable access never races; no schedule point.
-            pub fn get_mut(&mut self) -> &mut $prim {
-                self.inner.get_mut()
             }
 
             pub fn into_inner(self) -> $prim {

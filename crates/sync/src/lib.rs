@@ -3,23 +3,24 @@
 //!
 //! The workspace's concurrency stack (the coalescing cache in
 //! `lgr-engine`, the broadcast pool in `lgr-parallel`, batch fan-out in
-//! `lgr-serve`) builds on the [`Mutex`]/[`RwLock`]/[`Condvar`] wrappers
-//! here instead of `std::sync` (a lint, `cargo xtask lint`, enforces
-//! this). The wrappers buy three things over std, at zero release-mode
-//! cost:
+//! `lgr-serve`) builds on the [`Mutex`]/[`Condvar`] wrappers here
+//! instead of `std::sync` (a lint, `cargo xtask lint`, enforces this).
+//! There is one lock kind: every lock in the workspace is a [`Mutex`],
+//! so the model checker explores exactly the locks that run. The
+//! wrappers buy three things over std, at zero release-mode cost:
 //!
 //! 1. **Lock-order auditing** ([`order`]): locks constructed with
-//!    [`Mutex::ranked`]/[`RwLock::ranked`] carry a static [`Rank`];
-//!    under `debug_assertions` (or the `model` feature) every
-//!    acquisition is checked against the thread's held set, and a
-//!    rank inversion panics naming both locks and both acquisition
-//!    sites. A clean test run therefore proves the documented global
-//!    lock order (map → slot → pool gate → pool state → serve), not
-//!    merely that one interleaving got lucky.
+//!    [`Mutex::ranked`] carry a static [`Rank`]; under
+//!    `debug_assertions` (or the `model` feature) every acquisition is
+//!    checked against the thread's held set, and a rank inversion
+//!    panics naming both locks and both acquisition sites. A clean
+//!    test run therefore proves the documented global lock order
+//!    (map → slot → pool gate → pool state → serve), not merely that
+//!    one interleaving got lucky.
 //!
-//! 2. **Poison recovery**: `lock()`/`read()`/`write()` never return a
-//!    `Result`. A poisoned lock — some thread panicked while holding
-//!    it — is recovered via `PoisonError::into_inner` and counted in
+//! 2. **Poison recovery**: `lock()` never returns a `Result`. A
+//!    poisoned lock — some thread panicked while holding it — is
+//!    recovered via `PoisonError::into_inner` and counted in
 //!    [`poison_recoveries`], instead of propagating the panic to
 //!    unrelated threads (a serving process must not fail a healthy
 //!    connection because another connection's request panicked).
@@ -57,8 +58,6 @@ pub use order::{held_locks, rank, Rank};
 
 use std::sync::{
     Condvar as StdCondvar, Mutex as StdMutex, MutexGuard as StdMutexGuard, PoisonError,
-    RwLock as StdRwLock, RwLockReadGuard as StdRwLockReadGuard,
-    RwLockWriteGuard as StdRwLockWriteGuard,
 };
 
 /// Total poisoned-lock recoveries process-wide. A nonzero value means
@@ -165,20 +164,9 @@ impl<T> Mutex<T> {
         recover(self.inner.into_inner())
     }
 
-    /// Mutable access without locking (poison recovered).
-    pub fn get_mut(&mut self) -> &mut T {
-        recover(self.inner.get_mut())
-    }
-
     /// The label shown in model traces ([`Rank::name`] when ranked).
     pub fn label(&self) -> &'static str {
         self.label
-    }
-}
-
-impl<T: Default> Default for Mutex<T> {
-    fn default() -> Self {
-        Mutex::new(T::default())
     }
 }
 
@@ -208,157 +196,6 @@ impl<T> Drop for MutexGuard<'_, T> {
         }
         #[cfg(not(feature = "model"))]
         let _ = (was_held, self.owner);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// RwLock
-// ---------------------------------------------------------------------------
-
-/// A reader-writer lock with optional rank auditing, poison recovery,
-/// and model-mode scheduling.
-#[derive(Debug)]
-pub struct RwLock<T> {
-    rank: Option<Rank>,
-    label: &'static str,
-    #[cfg(feature = "model")]
-    model: Option<model::ResourceId>,
-    inner: StdRwLock<T>,
-}
-
-/// Shared guard returned by [`RwLock::read`].
-#[must_use = "if unused the RwLock will immediately unlock"]
-pub struct RwLockReadGuard<'a, T> {
-    inner: Option<StdRwLockReadGuard<'a, T>>,
-    audit: Option<order::AuditToken>,
-    owner: &'a RwLock<T>,
-}
-
-/// Exclusive guard returned by [`RwLock::write`].
-#[must_use = "if unused the RwLock will immediately unlock"]
-pub struct RwLockWriteGuard<'a, T> {
-    inner: Option<StdRwLockWriteGuard<'a, T>>,
-    audit: Option<order::AuditToken>,
-    owner: &'a RwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    /// An unranked reader-writer lock.
-    pub fn new(value: T) -> Self {
-        Self::build(None, "rwlock", value)
-    }
-
-    /// An unranked lock with a label for model-trace readability.
-    pub fn with_label(label: &'static str, value: T) -> Self {
-        Self::build(None, label, value)
-    }
-
-    /// A lock with a static [`Rank`] in the global lock order. Read
-    /// and write acquisitions are audited identically: a held read
-    /// lock constrains ordering just like a held write lock.
-    pub fn ranked(rank: Rank, value: T) -> Self {
-        Self::build(Some(rank), rank.name, value)
-    }
-
-    fn build(rank: Option<Rank>, label: &'static str, value: T) -> Self {
-        RwLock {
-            rank,
-            label,
-            #[cfg(feature = "model")]
-            model: model::register_rwlock(),
-            inner: StdRwLock::new(value),
-        }
-    }
-
-    /// Acquires shared access (poison recovered, rank audited).
-    #[cfg_attr(any(debug_assertions, feature = "model"), track_caller)]
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        let audit = order::on_acquire(self.rank);
-        #[cfg(feature = "model")]
-        model::op_acquire_rw(self.model, false, self.label);
-        let inner = recover(self.inner.read());
-        RwLockReadGuard {
-            inner: Some(inner),
-            audit,
-            owner: self,
-        }
-    }
-
-    /// Acquires exclusive access (poison recovered, rank audited).
-    #[cfg_attr(any(debug_assertions, feature = "model"), track_caller)]
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        let audit = order::on_acquire(self.rank);
-        #[cfg(feature = "model")]
-        model::op_acquire_rw(self.model, true, self.label);
-        let inner = recover(self.inner.write());
-        RwLockWriteGuard {
-            inner: Some(inner),
-            audit,
-            owner: self,
-        }
-    }
-
-    /// Consumes the lock, returning the value (poison recovered).
-    pub fn into_inner(self) -> T {
-        recover(self.inner.into_inner())
-    }
-
-    /// Mutable access without locking (poison recovered).
-    pub fn get_mut(&mut self) -> &mut T {
-        recover(self.inner.get_mut())
-    }
-
-    /// The label shown in model traces ([`Rank::name`] when ranked).
-    pub fn label(&self) -> &'static str {
-        self.label
-    }
-}
-
-impl<T: Default> Default for RwLock<T> {
-    fn default() -> Self {
-        RwLock::new(T::default())
-    }
-}
-
-impl<T> std::ops::Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard already dismantled")
-    }
-}
-
-impl<T> Drop for RwLockReadGuard<'_, T> {
-    fn drop(&mut self) {
-        self.inner.take();
-        #[cfg(feature = "model")]
-        model::op_release_rw(self.owner.model, false);
-        #[cfg(not(feature = "model"))]
-        let _ = self.owner;
-        let _ = self.audit.take();
-    }
-}
-
-impl<T> std::ops::Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard already dismantled")
-    }
-}
-
-impl<T> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard already dismantled")
-    }
-}
-
-impl<T> Drop for RwLockWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        self.inner.take();
-        #[cfg(feature = "model")]
-        model::op_release_rw(self.owner.model, true);
-        #[cfg(not(feature = "model"))]
-        let _ = self.owner;
-        let _ = self.audit.take();
     }
 }
 
@@ -440,20 +277,6 @@ impl Condvar {
             audit,
             owner,
         }
-    }
-
-    /// [`Condvar::wait`] in a predicate loop: returns once
-    /// `condition(&mut *guard)` is false.
-    #[cfg_attr(any(debug_assertions, feature = "model"), track_caller)]
-    pub fn wait_while<'a, T>(
-        &self,
-        mut guard: MutexGuard<'a, T>,
-        mut condition: impl FnMut(&mut T) -> bool,
-    ) -> MutexGuard<'a, T> {
-        while condition(&mut guard) {
-            guard = self.wait(guard);
-        }
-        guard
     }
 
     /// Wakes one waiter (the longest-waiting one, in model mode).

@@ -5,11 +5,11 @@
 //! configured preemption bound has been explored. Inside a run,
 //! exactly one managed thread executes at a time; every
 //! [`Mutex`](crate::Mutex) acquire, [`Condvar`](crate::Condvar)
-//! wait/notify, [`RwLock`](crate::RwLock) acquire, atomic access, and
-//! thread spawn/join is a *schedule point* where the scheduler may
-//! switch threads. The explorer walks the tree of scheduling decisions
-//! depth-first, replaying a recorded choice prefix and flipping the
-//! deepest unexplored alternative each iteration.
+//! wait/notify, atomic access, and thread spawn/join is a *schedule
+//! point* where the scheduler may switch threads. The explorer walks
+//! the tree of scheduling decisions depth-first, replaying a recorded
+//! choice prefix and flipping the deepest unexplored alternative each
+//! iteration.
 //!
 //! What a clean pass proves, within the preemption bound:
 //!
@@ -141,10 +141,6 @@ enum Resource {
     Mutex {
         holder: Option<usize>,
     },
-    Rw {
-        writer: Option<usize>,
-        readers: Vec<usize>,
-    },
     Cv {
         waiters: VecDeque<usize>,
     },
@@ -159,7 +155,6 @@ enum Resource {
 enum Status {
     Runnable,
     BlockedMutex(usize),
-    BlockedRw { rid: usize, write: bool },
     WaitingCv(usize),
     BlockedJoin(usize),
     Finished,
@@ -251,13 +246,6 @@ pub(crate) fn register_mutex() -> Option<ResourceId> {
     register(Resource::Mutex { holder: None })
 }
 
-pub(crate) fn register_rwlock() -> Option<ResourceId> {
-    register(Resource::Rw {
-        writer: None,
-        readers: Vec::new(),
-    })
-}
-
 pub(crate) fn register_condvar() -> Option<ResourceId> {
     register(Resource::Cv {
         waiters: VecDeque::new(),
@@ -296,22 +284,6 @@ pub(crate) fn op_acquire_mutex(id: Option<ResourceId>, label: &'static str) -> b
 pub(crate) fn op_release_mutex(id: Option<ResourceId>) {
     if let Some((exec, me, rid)) = resolve(id, "Mutex") {
         exec.release_mutex(me, rid);
-    }
-}
-
-pub(crate) fn op_acquire_rw(id: Option<ResourceId>, write: bool, label: &'static str) -> bool {
-    match resolve(id, "RwLock") {
-        Some((exec, me, rid)) => {
-            exec.acquire_rw(me, rid, write, label);
-            true
-        }
-        None => false,
-    }
-}
-
-pub(crate) fn op_release_rw(id: Option<ResourceId>, write: bool) {
-    if let Some((exec, me, rid)) = resolve(id, "RwLock") {
-        exec.release_rw(me, rid, write);
     }
 }
 
@@ -464,10 +436,6 @@ impl Execution {
                 Status::BlockedMutex(r) | Status::WaitingCv(r) | Status::BlockedJoin(r) => {
                     r.hash(&mut h)
                 }
-                Status::BlockedRw { rid, write } => {
-                    rid.hash(&mut h);
-                    write.hash(&mut h);
-                }
                 Status::Runnable | Status::Finished => {}
             }
             t.steps.hash(&mut h);
@@ -475,10 +443,6 @@ impl Execution {
         for r in &k.resources {
             match r {
                 Resource::Mutex { holder } => holder.hash(&mut h),
-                Resource::Rw { writer, readers } => {
-                    writer.hash(&mut h);
-                    readers.hash(&mut h);
-                }
                 Resource::Cv { waiters } => waiters.hash(&mut h),
                 Resource::Atomic { mirror } => mirror.hash(&mut h),
             }
@@ -574,10 +538,6 @@ impl Execution {
                 "thread {i} {} (last op `{}`)",
                 match t.status {
                     Status::BlockedMutex(r) => format!("blocked on mutex #{r}"),
-                    Status::BlockedRw { rid, write } => format!(
-                        "blocked on rwlock #{rid} ({})",
-                        if write { "write" } else { "read" }
-                    ),
                     Status::WaitingCv(r) =>
                         format!("waiting on condvar #{r} — likely a lost wakeup"),
                     Status::BlockedJoin(t) => format!("joining thread {t}"),
@@ -629,55 +589,6 @@ impl Execution {
         }
         for t in k.threads.iter_mut() {
             if t.status == Status::BlockedMutex(rid) {
-                t.status = Status::Runnable;
-            }
-        }
-    }
-
-    fn acquire_rw(&self, me: usize, rid: usize, write: bool, label: &'static str) {
-        self.schedule_point(me, label);
-        loop {
-            let mut k = self.lock_kernel();
-            if k.abort.is_some() {
-                drop(k);
-                abort_unwind();
-            }
-            match &mut k.resources[rid] {
-                Resource::Rw { writer, readers } => {
-                    if write {
-                        if writer.is_none() && readers.is_empty() {
-                            *writer = Some(me);
-                            return;
-                        }
-                    } else if writer.is_none() {
-                        readers.push(me);
-                        return;
-                    }
-                }
-                _ => unreachable!("resource {rid} is not a rwlock"),
-            }
-            k.threads[me].status = Status::BlockedRw { rid, write };
-            self.block_and_switch(k, me);
-        }
-    }
-
-    fn release_rw(&self, me: usize, rid: usize, write: bool) {
-        let mut k = self.lock_kernel();
-        if k.abort.is_some() {
-            return;
-        }
-        match &mut k.resources[rid] {
-            Resource::Rw { writer, readers } => {
-                if write {
-                    *writer = None;
-                } else if let Some(pos) = readers.iter().rposition(|&r| r == me) {
-                    readers.remove(pos);
-                }
-            }
-            _ => unreachable!("resource {rid} is not a rwlock"),
-        }
-        for t in k.threads.iter_mut() {
-            if matches!(t.status, Status::BlockedRw { rid: r, .. } if r == rid) {
                 t.status = Status::Runnable;
             }
         }

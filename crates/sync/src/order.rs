@@ -1,11 +1,11 @@
 //! The lock-order auditor: per-thread held-lock tracking and rank
 //! enforcement.
 //!
-//! Every ranked [`Mutex`](crate::Mutex)/[`RwLock`](crate::RwLock)
-//! acquisition is checked against the thread's currently held locks:
-//! acquiring a lock whose [`Rank`] level is **not strictly greater**
-//! than every held lock's level panics, naming both locks and both
-//! acquisition sites. Because ranks impose a total order on every
+//! Every ranked [`Mutex`](crate::Mutex) acquisition is checked
+//! against the thread's currently held locks: acquiring a lock whose
+//! [`Rank`] level is **not strictly greater** than every held lock's
+//! level (the same lock again included) panics, naming both locks and
+//! both acquisition sites. Because ranks impose a total order on every
 //! nesting the program ever performs, a clean run is a proof that no
 //! cycle (and therefore no lock-order deadlock) is possible among
 //! ranked locks — not just that this execution got lucky.

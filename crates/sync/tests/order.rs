@@ -1,7 +1,7 @@
 //! Lock-order auditor and poison-recovery tests (no `model` feature
 //! needed: auditing is active under `debug_assertions`).
 
-use lgr_sync::{held_locks, poison_recoveries, rank, Condvar, Mutex, RwLock};
+use lgr_sync::{held_locks, poison_recoveries, rank, Condvar, Mutex};
 
 #[test]
 fn increasing_ranks_are_accepted() {
@@ -57,30 +57,6 @@ fn equal_rank_is_a_violation_too() {
         .cloned()
         .unwrap_or_else(String::new);
     assert!(msg.contains("strictly increasing"), "got: {msg}");
-}
-
-#[test]
-fn rwlock_read_guards_audit_like_writes() {
-    let map = RwLock::ranked(rank(100, "engine.cache.map"), ());
-    let slot = Mutex::ranked(rank(200, "engine.cache.slot"), ());
-    // map read → slot is the documented order: fine.
-    {
-        let _m = map.read();
-        let _g = slot.lock();
-        assert_eq!(held_locks(), 2);
-    }
-    // slot → map read is the inversion the session cache avoids.
-    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _g = slot.lock();
-        let _m = map.read();
-    }))
-    .expect_err("slot→map must be rejected");
-    let msg = err
-        .downcast_ref::<String>()
-        .cloned()
-        .unwrap_or_else(String::new);
-    assert!(msg.contains("engine.cache.map"), "got: {msg}");
-    assert!(msg.contains("engine.cache.slot"), "got: {msg}");
 }
 
 #[test]
