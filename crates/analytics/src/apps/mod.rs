@@ -20,7 +20,7 @@ pub use radii::{radii, RadiiConfig, RadiiResult, RADII_MASK_WIDTH};
 pub use sssp::{sssp, SsspConfig, SsspResult};
 
 use lgr_cachesim::{MemoryLayout, NullTracer, Tracer};
-use lgr_graph::{Csr, DegreeKind, VertexId};
+use lgr_graph::{Csr, DegreeKind, Directions, VertexId};
 use lgr_parallel::Pool;
 
 use bc::{bc_with_arrays, BcArrays};
@@ -88,6 +88,18 @@ impl AppId {
         match self {
             AppId::Bc | AppId::Pr | AppId::Radii => DegreeKind::Out,
             AppId::Sssp | AppId::Prd => DegreeKind::In,
+        }
+    }
+
+    /// Which CSR directions this application's kernels read, traced
+    /// or pooled: PR pulls along in-edges (its out-degrees come from
+    /// the out-index, which every relabel keeps), PRD and SSSP push
+    /// along out-edges, and BC and Radii pull and push.
+    pub fn reads(self) -> Directions {
+        match self {
+            AppId::Pr => Directions::In,
+            AppId::Prd | AppId::Sssp => Directions::Out,
+            AppId::Bc | AppId::Radii => Directions::Both,
         }
     }
 
@@ -221,6 +233,49 @@ mod tests {
         assert_eq!(AppId::Pr.reorder_degree(), DegreeKind::Out);
         assert_eq!(AppId::Prd.reorder_degree(), DegreeKind::In);
         assert_eq!(AppId::Radii.reorder_degree(), DegreeKind::Out);
+    }
+
+    #[test]
+    fn read_sets() {
+        assert_eq!(AppId::Bc.reads(), Directions::Both);
+        assert_eq!(AppId::Sssp.reads(), Directions::Out);
+        assert_eq!(AppId::Pr.reads(), Directions::In);
+        assert_eq!(AppId::Prd.reads(), Directions::Out);
+        assert_eq!(AppId::Radii.reads(), Directions::Both);
+    }
+
+    #[test]
+    fn each_app_runs_on_a_graph_relabelled_with_only_what_it_reads() {
+        use lgr_cachesim::{MemorySim, SimConfig};
+        use lgr_graph::datasets::{build, DatasetId, DatasetScale};
+
+        // Weighted, so SSSP reads its weights; a random order, so no
+        // relabelled list is the original's.
+        let mut el = build(DatasetId::Sd, DatasetScale::with_sd_vertices(1 << 9));
+        el.randomize_weights(64, 1);
+        let g = Csr::from_edge_list(&el);
+        let perm = lgr_graph::gen::random_permutation(g.num_vertices(), 5);
+        let seq = Pool::new(1);
+        let full = g.relabel_with(&perm, Directions::Both, &seq);
+        let roots: Vec<VertexId> = (0..full.num_vertices() as VertexId)
+            .filter(|&v| full.out_degree(v) > 0 && full.in_degree(v) > 0)
+            .step_by(31)
+            .take(4)
+            .collect();
+        let work = Work { iters: 3, cores: 2 };
+        let sim = |graph: &Csr, app: AppId| {
+            let t = app.trace(graph, work, &roots, |layout| {
+                MemorySim::new(SimConfig::default(), layout)
+            });
+            *t.stats()
+        };
+        for app in AppId::ALL {
+            let read = g.relabel_with(&perm, app.reads(), &seq);
+            assert_eq!(sim(&read, app), sim(&full, app), "{}", app.name());
+            for threads in [1, 2, 3] {
+                app.run_pooled(&read, work, &roots, &Pool::new(threads));
+            }
+        }
     }
 
     #[test]

@@ -297,6 +297,18 @@ where
         value
     }
 
+    /// [`CoalescingCache::get`] as a request: a published value counts
+    /// a hit, and an absent one counts nothing. For a caller whose
+    /// request another key's value can answer (a relabelled graph's
+    /// full form standing in for one of its directions), before it
+    /// asks for its own key.
+    pub fn hit(&self, key: &K) -> Option<Arc<V>> {
+        let value = self.get(key)?;
+        // ordering: Relaxed — statistics counter only.
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(value)
+    }
+
     /// Number of published entries (in-flight builds don't count).
     pub fn len(&self) -> usize {
         self.map.lock().published()

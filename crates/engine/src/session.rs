@@ -46,7 +46,7 @@ use lgr_analytics::apps::{AppId, Work, RADII_MASK_WIDTH};
 use lgr_cachesim::{MemorySim, SimConfig, SimStats};
 use lgr_core::TimedReorder;
 use lgr_graph::datasets::DatasetScale;
-use lgr_graph::{Csr, DegreeKind, VertexId};
+use lgr_graph::{Csr, DegreeKind, Directions, VertexId};
 use lgr_io::DatasetCache;
 use lgr_parallel::{par_fill, Pool};
 
@@ -469,6 +469,9 @@ fn speedup_ratio(base: f64, with: f64) -> f64 {
 }
 
 type ReorderKey = (DatasetSpec, TechniqueSpec, DegreeKind);
+/// A relabelled graph's key: its permutation's key and the directions
+/// the relabel wrote.
+type RelabelKey = (ReorderKey, Directions);
 
 /// Caching engine shared by every experiment, CLI invocation, server
 /// connection, and library embedding. `Send + Sync`: share one
@@ -487,10 +490,10 @@ pub struct Session {
     graphs: CoalescingCache<DatasetSpec, Csr>,
     reorders: CoalescingCache<ReorderKey, TimedReorder>,
     /// Reordered CSRs, cached under the same canonicalized key as the
-    /// permutations that produced them — rebuilding the graph per
-    /// `run`/`wall` call was the single biggest repeated cost of the
-    /// repro pipeline.
-    reordered: CoalescingCache<ReorderKey, Csr>,
+    /// permutations that produced them plus the directions written —
+    /// rebuilding the graph per `run`/`wall` call was the single
+    /// biggest repeated cost of the repro pipeline.
+    reordered: CoalescingCache<RelabelKey, Csr>,
     /// Per-dataset root candidates (vertices with both edge
     /// directions), so the O(V) scan runs once per dataset rather than
     /// once per prepared run.
@@ -702,17 +705,18 @@ impl Session {
         self.stage(ds, |cx| JobCx::reorder(cx, spec, kind))
     }
 
-    /// The reordered CSR for `spec` on `ds` using `kind` degrees,
-    /// cached under the same canonicalized key as the permutation so
-    /// every `run`/`wall` call on the same (dataset, technique) pair
-    /// reuses one relabeled graph.
+    /// The reordered CSR for `spec` on `ds` using `kind` degrees, both
+    /// directions written, cached under the same canonicalized key as
+    /// the permutation. A `run`/`wall` call relabels only the
+    /// directions its app reads ([`AppId::reads`]), and reuses this
+    /// graph when it is already cached.
     pub fn reordered_graph(
         &self,
         ds: &DatasetSpec,
         spec: &TechniqueSpec,
         kind: DegreeKind,
     ) -> Arc<Csr> {
-        self.stage(ds, |cx| JobCx::reordered(cx, spec, kind))
+        self.stage(ds, |cx| JobCx::reordered(cx, spec, kind, Directions::Both))
     }
 
     /// Deterministic roots on the ORIGINAL graph: vertices with both
@@ -998,14 +1002,26 @@ impl<'s> JobCx<'s> {
         })
     }
 
-    /// [`Session::reordered_graph`].
-    fn reordered(&self, spec: &TechniqueSpec, kind: DegreeKind) -> Result<Arc<Csr>, DatasetError> {
+    /// [`Session::reordered_graph`], writing only `dirs`. A graph with
+    /// both directions already cached under the same permutation
+    /// answers a one-direction request, as a hit.
+    fn reordered(
+        &self,
+        spec: &TechniqueSpec,
+        kind: DegreeKind,
+        dirs: Directions,
+    ) -> Result<Arc<Csr>, DatasetError> {
         let (s, ds, key) = (self.session, self.ds, self.reorder_key(spec, kind));
-        s.reordered.get_or_try_build(&key, || {
+        if dirs != Directions::Both {
+            if let Some(full) = s.reordered.hit(&(key.clone(), Directions::Both)) {
+                return Ok(full);
+            }
+        }
+        s.reordered.get_or_try_build(&(key, dirs), || {
             let graph = self.graph()?;
             let timed = self.reorder(spec, kind)?;
             s.log(&format!("rebuilding {} under {}", ds.label(), spec.label()));
-            Ok(graph.apply_permutation_with(&timed.permutation, &s.pool))
+            Ok(graph.relabel_with(&timed.permutation, dirs, &s.pool))
         })
     }
 
@@ -1039,7 +1055,7 @@ impl<'s> JobCx<'s> {
     /// The (possibly reordered) graph `job` runs on and its roots,
     /// mapped through the permutation. Reads the graph first, then the
     /// roots (unless the app takes none), the permutation and the
-    /// relabelled graph.
+    /// graph relabelled in the directions the app reads.
     fn prepared(&self, job: &Job) -> Result<(Arc<Csr>, Vec<VertexId>), DatasetError> {
         let graph = self.graph()?;
         let roots = match self.session.cfg.work(&job.app) {
@@ -1049,10 +1065,10 @@ impl<'s> JobCx<'s> {
         let Some(spec) = &job.technique else {
             return Ok((graph, roots));
         };
-        let kind = job.app.id().reorder_degree();
+        let (kind, dirs) = (job.app.id().reorder_degree(), job.app.id().reads());
         let timed = self.reorder(spec, kind)?;
         let mapped = roots.iter().map(|&r| timed.permutation.new_id(r)).collect();
-        Ok((self.reordered(spec, kind)?, mapped))
+        Ok((self.reordered(spec, kind, dirs)?, mapped))
     }
 
     /// [`Session::run`] of a job on this context's dataset.

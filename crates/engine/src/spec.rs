@@ -74,6 +74,14 @@ pub enum SpecError {
         /// What a valid value looks like.
         expected: &'static str,
     },
+    /// A parameter the technique cannot run without was not given
+    /// (`rcb`'s block count).
+    MissingParam {
+        /// The canonical name of the technique.
+        technique: String,
+        /// What the missing parameter looks like.
+        expected: &'static str,
+    },
     /// The application name is not one of the five evaluated apps.
     UnknownApp {
         /// The name that failed to resolve.
@@ -113,6 +121,10 @@ impl fmt::Display for SpecError {
                 f,
                 "invalid value `{token}` for `{technique}`: expected {expected}"
             ),
+            SpecError::MissingParam {
+                technique,
+                expected,
+            } => write!(f, "`{technique}` needs {expected}"),
             SpecError::UnknownApp { token, valid } => {
                 write!(f, "unknown app `{token}`; valid: {}", valid.join(", "))
             }
@@ -568,9 +580,8 @@ fn parse_atom(atom: &str, custom_names: &[&str]) -> Result<TechniqueAtom, SpecEr
         }
     }
     if let TechniqueAtom::RandomCacheBlock { blocks: 0, .. } = parsed {
-        return Err(SpecError::InvalidValue {
+        return Err(SpecError::MissingParam {
             technique: name.to_owned(),
-            token: atom.to_owned(),
             expected: "a block count, e.g. `rcb:4`",
         });
     }

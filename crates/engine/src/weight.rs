@@ -12,7 +12,7 @@
 use std::time::Duration;
 
 use lgr_core::TimedReorder;
-use lgr_graph::Csr;
+use lgr_graph::{AdjacencyView, Csr};
 
 use crate::session::RunStats;
 
@@ -59,22 +59,18 @@ impl<T> CacheWeight for Vec<T> {
     }
 }
 
-/// A CSR stores both adjacency directions: per direction a `V + 1`
-/// offset array (`usize`), `E` neighbor IDs, and (when weighted) `E`
-/// parallel weights.
+/// A CSR holds, per adjacency direction, a `V + 1` offset array
+/// (`usize`) and, for each direction it was built with, `E` neighbor
+/// IDs and (when weighted) `E` parallel weights. A direction a relabel
+/// did not write holds only its offsets, so it weighs only those.
 impl CacheWeight for Csr {
     fn weight_bytes(&self) -> usize {
-        let v = self.num_vertices();
-        let e = self.num_edges();
-        let ids = std::mem::size_of::<lgr_graph::VertexId>();
-        let per_direction = (v + 1) * std::mem::size_of::<usize>()
-            + e * ids
-            + if self.is_weighted() {
-                e * std::mem::size_of::<lgr_graph::Weight>()
-            } else {
-                0
-            };
-        std::mem::size_of::<Self>() + 2 * per_direction
+        let held = |dir: AdjacencyView<'_>| {
+            std::mem::size_of_val(dir.index)
+                + std::mem::size_of_val(dir.neighbors)
+                + dir.weights.map_or(0, std::mem::size_of_val)
+        };
+        std::mem::size_of::<Self>() + held(self.out_adjacency()) + held(self.in_adjacency())
     }
 }
 
@@ -108,6 +104,34 @@ mod tests {
         let weighted = Csr::from_edge_list(&el);
         assert!(unweighted.weight_bytes() > 100 * std::mem::size_of::<usize>());
         assert!(weighted.weight_bytes() > unweighted.weight_bytes());
+    }
+
+    #[test]
+    fn a_one_direction_csr_weighs_only_what_it_holds() {
+        use lgr_graph::{Directions, Permutation};
+        use lgr_parallel::Pool;
+
+        let mut el = EdgeList::new(100);
+        for v in 0..100u32 {
+            el.push(v, (v + 1) % 100);
+            el.push(v, (v + 7) % 100);
+        }
+        el.randomize_weights(64, 1);
+        let g = Csr::from_edge_list(&el);
+        let perm = Permutation::from_new_ids((0..100).rev().collect()).unwrap();
+        let pool = Pool::new(1);
+        let both = g.relabel_with(&perm, Directions::Both, &pool);
+        assert_eq!(both.weight_bytes(), g.weight_bytes());
+        // One direction drops 200 neighbor IDs and 200 weights.
+        let dropped = 200 * std::mem::size_of::<(lgr_graph::VertexId, lgr_graph::Weight)>();
+        for dirs in [Directions::Out, Directions::In] {
+            let one = g.relabel_with(&perm, dirs, &pool);
+            assert_eq!(
+                one.weight_bytes(),
+                both.weight_bytes() - dropped,
+                "{dirs:?}"
+            );
+        }
     }
 
     #[test]

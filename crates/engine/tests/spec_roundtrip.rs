@@ -199,7 +199,7 @@ proptest! {
 /// protocol print it. All three grammars trim keys and values and
 /// match a key before they parse its value; technique and app errors
 /// quote the trimmed segment, dataset errors the token as written; a
-/// block-less `rcb` quotes its whole atom.
+/// block-less `rcb` names the parameter it lacks.
 type Corners = &'static [(&'static str, Result<&'static str, &'static str>)];
 
 #[rustfmt::skip]
@@ -215,10 +215,10 @@ const TECHNIQUE_CORNERS: Corners = &[
     ("rv:-1", Err("invalid value `-1` for `rv`: expected a u64 seed")),
     ("rv:seed= 5", Ok("rv:seed=5")),
     ("rv:18446744073709551616", Err("invalid value `18446744073709551616` for `rv`: expected a u64 seed")),
-    ("rcb", Err("invalid value `rcb` for `rcb`: expected a block count, e.g. `rcb:4`")),
-    ("rcb:seed=3", Err("invalid value `rcb:seed=3` for `rcb`: expected a block count, e.g. `rcb:4`")),
-    ("RCB:seed=3", Err("invalid value `RCB:seed=3` for `rcb`: expected a block count, e.g. `rcb:4`")),
-    (" rcb:seed=3 +sort", Err("invalid value `rcb:seed=3` for `rcb`: expected a block count, e.g. `rcb:4`")),
+    ("rcb", Err("`rcb` needs a block count, e.g. `rcb:4`")),
+    ("rcb:seed=3", Err("`rcb` needs a block count, e.g. `rcb:4`")),
+    ("RCB:seed=3", Err("`rcb` needs a block count, e.g. `rcb:4`")),
+    (" rcb:seed=3 +sort", Err("`rcb` needs a block count, e.g. `rcb:4`")),
     ("rcb:0", Err("invalid value `0` for `rcb`: expected a positive block count")),
     ("rcb:4294967296", Err("invalid value `4294967296` for `rcb`: expected a positive block count")),
     ("rcb:2:blocks=3", Ok("rcb:3")),

@@ -3,7 +3,9 @@
 //! Like Ligra, the analytics engine needs in-edges for pull-based
 //! computations and out-edges for push-based ones, so [`Csr`] stores
 //! both adjacency structures. Weighted graphs carry per-edge weights
-//! parallel to each adjacency array.
+//! parallel to each adjacency array. A relabel may write only the
+//! [`Directions`] a kernel reads; the other direction then keeps only
+//! its index.
 
 use std::ops::Range;
 
@@ -89,6 +91,20 @@ pub struct AdjacencyView<'a> {
     pub neighbors: &'a [VertexId],
     /// Optional per-edge weights parallel to `neighbors`.
     pub weights: Option<&'a [Weight]>,
+}
+
+/// Which adjacency directions [`Csr::relabel_with`] writes. A
+/// direction it does not write keeps only its index, so degrees,
+/// offsets, [`Csr::num_edges`] and [`Csr::is_weighted`] still answer
+/// for the whole graph, while its neighbors and weights are empty.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Directions {
+    /// Only the out-direction, what push kernels read.
+    Out,
+    /// Only the in-direction, what pull kernels read.
+    In,
+    /// Both directions: the whole graph.
+    Both,
 }
 
 /// One direction of adjacency in CSR form.
@@ -242,6 +258,72 @@ impl Adjacency {
                 wt[slot] = src[k];
             }),
             _ => scatter_part(triples, cursor, move |slot, v, _| neighbors[slot] = v),
+        }
+    }
+
+    /// This direction's index under the relabeling `inv` (new id to
+    /// old): a relabeled vertex keeps its degree, so list `nv` starts
+    /// at the sum of the degrees of `inv[..nv]`.
+    fn relabeled_index(&self, inv: &[VertexId]) -> Vec<usize> {
+        let degrees = inv.iter().map(|&v| self.degree(v) as usize);
+        let ends = degrees.scan(0, |end, d| {
+            *end += d;
+            Some(*end)
+        });
+        std::iter::once(0).chain(ends).collect()
+    }
+
+    /// This direction under the relabeling `inv` (new id to old) with
+    /// only its index written: what a relabel keeps of a direction the
+    /// job does not read.
+    fn index_only(&self, inv: &[VertexId]) -> Self {
+        Adjacency {
+            index: self.relabeled_index(inv),
+            neighbors: Vec::new(),
+            weights: self.weights.as_ref().map(|_| Vec::new()),
+        }
+    }
+
+    /// This direction relabeled, gathered from itself in new-id order:
+    /// list `nv` is old list `inv[nv]` with each neighbor mapped
+    /// through `new_ids` and its weight carried along, then sorted
+    /// into canonical order. The new ids are cut into edge-balanced
+    /// ranges, one per pool worker, and each worker writes only its
+    /// range's lists.
+    fn gathered(&self, inv: &[VertexId], new_ids: &[VertexId], pool: &Pool) -> Self {
+        let index = self.relabeled_index(inv);
+        let m = self.neighbors.len();
+        let mut neighbors = vec![0 as VertexId; m];
+        let mut weights = self.weights.as_ref().map(|_| vec![0 as Weight; m]);
+        let ranges = edge_balanced_ranges(&index, pool.threads());
+        {
+            let nb = SyncSlice::new(&mut neighbors);
+            let wt = weights.as_mut().map(|w| SyncSlice::new(w));
+            pool.broadcast(|w| {
+                let (lists, mut scratch) = (ranges[w].clone(), Vec::new());
+                for nv in lists {
+                    let (old, new) = (self.range(inv[nv]), index[nv]..index[nv + 1]);
+                    // SAFETY: the worker ranges are disjoint, so are
+                    // their lists' slots, and each list is written by
+                    // the one worker whose range holds it.
+                    let nbrs = unsafe { nb.slice_mut(new.clone()) };
+                    for (slot, &u) in nbrs.iter_mut().zip(&self.neighbors[old.clone()]) {
+                        *slot = new_ids[u as usize];
+                    }
+                    // SAFETY: the same disjoint per-list range as above.
+                    let ws = wt.map(|wt| unsafe { wt.slice_mut(new.clone()) });
+                    let ws = ws.zip(self.weights.as_deref()).map(|(ws, src)| {
+                        ws.copy_from_slice(&src[old]);
+                        ws
+                    });
+                    sort_adjacent(nbrs, ws, &mut scratch);
+                }
+            });
+        }
+        Adjacency {
+            index,
+            neighbors,
+            weights,
         }
     }
 
@@ -522,44 +604,77 @@ impl Csr {
         self.apply_permutation_with(perm, &Pool::new(1))
     }
 
-    /// [`Csr::apply_permutation`] on the worker pool. Each direction of
-    /// the relabeled graph is the transpose of the *other* old
-    /// direction, written CSR-to-CSR with no intermediate [`EdgeList`]
-    /// and no count pass: a relabeled vertex keeps its degree, so the
-    /// new out-index is the prefix sum of the old out-degrees in new-id
-    /// order (and the in-index of the in-degrees), and one walk fills
-    /// each direction from cursors that start at those offsets. New ids
-    /// are walked in ascending order, and because the old lists are
-    /// canonical, every new list comes out in canonical
-    /// `(neighbor, weight)` order with no sort.
-    ///
-    /// The two directions are two jobs: on a pool of two or more
-    /// threads each runs on its own worker (further workers stay idle),
-    /// and on a pool of one both run inline. Every array is allocated
-    /// on the calling thread. The result is structurally identical
-    /// (`==`) to rebuilding from the relabeled edge list, for every
-    /// pool size.
+    /// [`Csr::apply_permutation`] on the worker pool:
+    /// [`Csr::relabel_with`] writing [`Directions::Both`].
     ///
     /// # Panics
     ///
     /// Panics if the permutation length differs from the vertex count.
     pub fn apply_permutation_with(&self, perm: &Permutation, pool: &Pool) -> Csr {
+        self.relabel_with(perm, Directions::Both, pool)
+    }
+
+    /// Relabels every vertex according to `perm`, writing the
+    /// directions `dirs` names. Each written direction is structurally
+    /// identical (`==`) to the same direction of
+    /// [`Csr::apply_permutation`], for every pool size; a direction not
+    /// written keeps only its index (see [`Directions`]), so a kernel
+    /// that reads its neighbors or weights panics.
+    ///
+    /// [`Directions::Both`] writes each direction as the transpose of
+    /// the *other* old direction, CSR-to-CSR with no intermediate
+    /// [`EdgeList`] and no count pass: a relabeled vertex keeps its
+    /// degree, so the new out-index is the prefix sum of the old
+    /// out-degrees in new-id order (and the in-index of the
+    /// in-degrees), and one walk fills each direction from cursors
+    /// that start at those offsets. New ids are walked in ascending
+    /// order, and because the old lists are canonical, every new list
+    /// comes out in canonical `(neighbor, weight)` order with no sort.
+    /// The two directions are two jobs: on a pool of two or more
+    /// threads each runs on its own worker (further workers stay
+    /// idle), and on a pool of one both run inline.
+    ///
+    /// [`Directions::Out`] and [`Directions::In`] gather the one
+    /// direction from the same old direction instead, list by list in
+    /// new-id order, each list mapped and sorted, with the lists cut
+    /// into edge-balanced ranges across every pool worker.
+    ///
+    /// Every array is allocated on the calling thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the permutation length differs from the vertex count.
+    pub fn relabel_with(&self, perm: &Permutation, dirs: Directions, pool: &Pool) -> Csr {
         assert_eq!(perm.len(), self.num_vertices, "permutation length mismatch");
         let (n, m, inv) = (self.num_vertices, self.num_edges, perm.inverse());
-        // (walked, sizes): the new out-direction transposes the old
-        // in-lists into lists sized by the old out-degrees, and the
-        // new in-direction the other way round.
-        let sources = [(&self.inn, &self.out.index), (&self.out, &self.inn.index)];
-        let mut dirs = sources.map(|(walked, _)| Adjacency {
-            index: vec![0; n + 1],
-            neighbors: vec![0; m],
-            weights: walked.weights.as_ref().map(|_| vec![0; m]),
-        });
-        par_chunks_mut(pool, &mut dirs, &[0..1, 1..2], |k, _, dir| {
-            let (walked, sizes) = sources[k];
-            dir[0].relabel(walked, sizes, &inv, perm.new_ids());
-        });
-        let [out, inn] = dirs;
+        let new_ids = perm.new_ids();
+        let (out, inn) = match dirs {
+            Directions::Out => (
+                self.out.gathered(&inv, new_ids, pool),
+                self.inn.index_only(&inv),
+            ),
+            Directions::In => (
+                self.out.index_only(&inv),
+                self.inn.gathered(&inv, new_ids, pool),
+            ),
+            Directions::Both => {
+                // (walked, sizes): the new out-direction transposes the
+                // old in-lists into lists sized by the old out-degrees,
+                // and the new in-direction the other way round.
+                let sources = [(&self.inn, &self.out.index), (&self.out, &self.inn.index)];
+                let mut both = sources.map(|(walked, _)| Adjacency {
+                    index: vec![0; n + 1],
+                    neighbors: vec![0; m],
+                    weights: walked.weights.as_ref().map(|_| vec![0; m]),
+                });
+                par_chunks_mut(pool, &mut both, &[0..1, 1..2], |k, _, dir| {
+                    let (walked, sizes) = sources[k];
+                    dir[0].relabel(walked, sizes, &inv, new_ids);
+                });
+                let [out, inn] = both;
+                (out, inn)
+            }
+        };
         Csr {
             num_vertices: n,
             num_edges: m,
@@ -568,7 +683,9 @@ impl Csr {
         }
     }
 
-    /// Raw view of the out-direction arrays (for serializers).
+    /// Raw view of the out-direction arrays (for serializers). A
+    /// direction [`Csr::relabel_with`] did not write shows its index
+    /// and empty neighbors.
     pub fn out_adjacency(&self) -> AdjacencyView<'_> {
         AdjacencyView {
             index: &self.out.index,
@@ -927,6 +1044,40 @@ mod tests {
                 "invalid CSR parts: out neighbors of vertex 0 are not in canonical order",
                 "{threads} threads"
             );
+        }
+    }
+
+    #[test]
+    fn one_direction_relabels_match_both_on_a_pool_of_three() {
+        // Self-loops, parallel edges with equal and distinct weights,
+        // a hub and an isolated vertex.
+        let mut el = EdgeList::new(6);
+        for (u, v, w) in [
+            (0, 0, 3),
+            (0, 1, 2),
+            (0, 1, 2),
+            (0, 1, 1),
+            (0, 3, 7),
+            (0, 4, 1),
+            (1, 0, 5),
+            (3, 0, 4),
+            (3, 3, 1),
+            (4, 0, 2),
+            (1, 3, 9),
+        ] {
+            el.push_weighted(u, v, w);
+        }
+        let g = Csr::from_edge_list(&el);
+        let perm = Permutation::from_new_ids(vec![2, 4, 0, 1, 5, 3]).unwrap();
+        let pool = Pool::new(3);
+        let both = g.relabel_with(&perm, Directions::Both, &pool);
+        let out = g.relabel_with(&perm, Directions::Out, &pool);
+        let inn = g.relabel_with(&perm, Directions::In, &pool);
+        assert_eq!((out.out, inn.inn), (both.out.clone(), both.inn.clone()));
+        for (unbuilt, reference) in [(&out.inn, &both.inn), (&inn.out, &both.out)] {
+            assert_eq!(unbuilt.index, reference.index);
+            assert!(unbuilt.neighbors.is_empty());
+            assert_eq!(unbuilt.weights, Some(Vec::new()));
         }
     }
 

@@ -39,7 +39,7 @@ pub mod gen;
 pub mod permutation;
 pub mod stats;
 
-pub use csr::{AdjacencyView, Csr, CsrPartsError};
+pub use csr::{AdjacencyView, Csr, CsrPartsError, Directions};
 pub use degree::{average_degree, DegreeKind};
 pub use edgelist::EdgeList;
 pub use permutation::Permutation;

@@ -1,13 +1,15 @@
 //! Structural-equality properties for the pooled construction paths:
-//! CSR build, direct permutation apply, and degree extraction must
-//! equal an independent reference for every thread count, including
-//! weighted, self-loop, and parallel-edge graphs. The reference CSR
-//! sorts `(owner, neighbour, weight)` triples and counts the index;
-//! the reference degrees count the edge list.
+//! CSR build, direct permutation apply, one-direction relabels, and
+//! degree extraction must equal an independent reference for every
+//! thread count, including weighted, self-loop, and parallel-edge
+//! graphs. The reference CSR sorts `(owner, neighbour, weight)` triples
+//! and counts the index; the reference degrees count the edge list.
 
 use proptest::prelude::*;
 
-use lgr_graph::{gen, Csr, DegreeKind, EdgeList, Permutation, VertexId, Weight};
+use lgr_graph::{
+    gen, AdjacencyView, Csr, DegreeKind, Directions, EdgeList, Permutation, VertexId, Weight,
+};
 use lgr_parallel::Pool;
 
 /// Thread counts exercised per case (1 = inline on the caller).
@@ -74,6 +76,50 @@ fn arb_edge_list() -> impl Strategy<Value = EdgeList> {
     })
 }
 
+/// Like [`arb_edge_list`], with empty and one-vertex graphs drawn as
+/// often as any other size.
+fn arb_any_size_edge_list() -> impl Strategy<Value = EdgeList> {
+    (0usize..14, 0u8..2, 0u64..1000).prop_flat_map(|(n, weighted, seed)| {
+        let ids = 0..(n as u32).max(1);
+        let edges = if n == 0 { 0..1 } else { 0..200 };
+        proptest::collection::vec((ids.clone(), ids), edges).prop_map(move |edges| {
+            let mut el = EdgeList::from_parts(n, edges, None);
+            if weighted != 0 {
+                el.randomize_weights(31, seed);
+            }
+            el
+        })
+    })
+}
+
+/// A direction's arrays, comparable with `==`.
+fn arrays(view: AdjacencyView<'_>) -> (&[usize], &[VertexId], Option<&[Weight]>) {
+    (view.index, view.neighbors, view.weights)
+}
+
+/// Asserts that `relabeled`, written in `dirs`, holds each written
+/// direction of `full` exactly and the index of each other one, and
+/// answers the whole graph's counts.
+fn assert_holds(relabeled: &Csr, full: &Csr, dirs: Directions) -> Result<(), TestCaseError> {
+    let (out, inn) = (dirs != Directions::In, dirs != Directions::Out);
+    for (built, got, want) in [
+        (out, relabeled.out_adjacency(), full.out_adjacency()),
+        (inn, relabeled.in_adjacency(), full.in_adjacency()),
+    ] {
+        if built {
+            prop_assert_eq!(arrays(got), arrays(want));
+        } else {
+            prop_assert_eq!(got.index, want.index);
+            prop_assert!(got.neighbors.is_empty());
+            prop_assert_eq!(got.weights.map(<[_]>::len), want.weights.map(|_| 0));
+        }
+    }
+    prop_assert_eq!(relabeled.num_vertices(), full.num_vertices());
+    prop_assert_eq!(relabeled.num_edges(), full.num_edges());
+    prop_assert_eq!(relabeled.is_weighted(), full.is_weighted());
+    Ok(())
+}
+
 /// Asserts the build at every pool size equals the reference, and so
 /// does applying the reversal permutation to it.
 fn assert_builds_match_reference(el: &EdgeList) {
@@ -124,6 +170,30 @@ proptest! {
             let pool = Pool::new(threads);
             let pooled = g.apply_permutation_with(&perm, &pool);
             prop_assert_eq!(&pooled, &reference, "threads = {}", threads);
+        }
+    }
+
+    /// A relabel writing one direction holds that direction of
+    /// `apply_permutation` and only the index of the other; writing
+    /// both is `apply_permutation`. Every pool size, every
+    /// `Directions` value.
+    #[test]
+    fn relabels_write_exactly_the_directions_asked(
+        el in arb_any_size_edge_list(),
+        seed in 0u64..1000,
+    ) {
+        let g = Csr::from_edge_list(&el);
+        let perm = gen::random_permutation(g.num_vertices(), seed);
+        let full = g.apply_permutation(&perm);
+        for threads in 1..=3 {
+            let pool = Pool::new(threads);
+            for dirs in [Directions::Out, Directions::In, Directions::Both] {
+                let relabeled = g.relabel_with(&perm, dirs, &pool);
+                assert_holds(&relabeled, &full, dirs)?;
+                if dirs == Directions::Both {
+                    prop_assert_eq!(&relabeled, &full, "threads = {}", threads);
+                }
+            }
         }
     }
 

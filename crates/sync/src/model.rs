@@ -271,13 +271,9 @@ fn resolve(id: Option<ResourceId>, what: &str) -> Option<(Arc<Execution>, usize,
     }
 }
 
-pub(crate) fn op_acquire_mutex(id: Option<ResourceId>, label: &'static str) -> bool {
-    match resolve(id, "Mutex") {
-        Some((exec, me, rid)) => {
-            exec.acquire_mutex(me, rid, label);
-            true
-        }
-        None => false,
+pub(crate) fn op_acquire_mutex(id: Option<ResourceId>, label: &'static str) {
+    if let Some((exec, me, rid)) = resolve(id, "Mutex") {
+        exec.acquire_mutex(me, rid, label);
     }
 }
 
@@ -288,21 +284,16 @@ pub(crate) fn op_release_mutex(id: Option<ResourceId>) {
 }
 
 /// Releases `mutex`, waits for a notify on `cv`, and reacquires
-/// `mutex` before returning. Returns `false` when not in a model run.
+/// `mutex` before returning. Does nothing outside a model run.
 pub(crate) fn op_condvar_wait(
     cv: Option<ResourceId>,
     mutex: Option<ResourceId>,
     label: &'static str,
-) -> bool {
-    match resolve(cv, "Condvar") {
-        Some((exec, me, cv_rid)) => {
-            let Some((_, _, mutex_rid)) = resolve(mutex, "Mutex") else {
-                return false;
-            };
+) {
+    if let Some((exec, me, cv_rid)) = resolve(cv, "Condvar") {
+        if let Some((_, _, mutex_rid)) = resolve(mutex, "Mutex") {
             exec.condvar_wait(me, cv_rid, mutex_rid, label);
-            true
         }
-        None => false,
     }
 }
 
